@@ -36,9 +36,60 @@ class EngineSpec extends SparkSpec {
     KCoreConfig.plain, KCoreConfig.ours, KCoreConfig.julienne,
     KCoreConfig.park, KCoreConfig.pkc)
 
+  /** `RunMetrics` without the wall time. The kernel is deterministic, so
+    * this string fingerprints the engine's behaviour: a refactor must leave
+    * every counter bit-identical.
+    */
+  private def fingerprint(m: RunMetrics): String = m.copy(wallMillis = 0).toString
+
+  private val expectedFingerprints: Map[(String, String), String] = Map(
+    ("Plain", "caterpillar") -> "RunMetrics(Plain,0.0,3,25,22,859,288,415,0,16,0,105,16,1,515,0,0)",
+    ("Plain", "clique-20") -> "RunMetrics(Plain,0.0,20,21,1,1100,380,400,0,300,0,0,300,15,980,0,0)",
+    ("Plain", "figure1") -> "RunMetrics(Plain,0.0,4,9,6,91,26,34,0,20,0,0,20,2,468,0,0)",
+    ("Plain", "grid-16x16") -> "RunMetrics(Plain,0.0,3,18,15,2080,960,768,0,96,0,416,96,1,839,0,0)",
+    ("Plain", "hcns-25") -> "RunMetrics(Plain,0.0,26,50,25,3264,1370,1180,0,604,0,1,604,24,3382,0,0)",
+    ("Plain", "path-50") -> "RunMetrics(Plain,0.0,2,27,25,254,98,100,0,6,0,46,6,1,327,0,0)",
+    ("Plain", "random-dense") -> "RunMetrics(Plain,0.0,21,40,19,14004,5512,4184,0,4108,0,476,4108,18,5017,0,0)",
+    ("Plain", "random-sparse") -> "RunMetrics(Plain,0.0,4,18,15,3862,1386,1138,0,1038,0,146,1038,3,2149,0,0)",
+    ("Ours", "caterpillar") -> "RunMetrics(Ours,0.0,3,6,3,859,288,415,0,16,0,105,16,2,365,0,0)",
+    ("Ours", "clique-20") -> "RunMetrics(Ours,0.0,20,21,1,780,380,80,0,300,0,0,300,15,980,0,0)",
+    ("Ours", "figure1") -> "RunMetrics(Ours,0.0,4,9,6,91,26,34,0,20,0,0,20,2,468,0,0)",
+    ("Ours", "grid-16x16") -> "RunMetrics(Ours,0.0,3,5,2,2080,960,768,0,96,0,416,96,1,729,0,0)",
+    ("Ours", "hcns-25") -> "RunMetrics(Ours,0.0,26,50,25,2619,1370,535,0,604,0,1,604,24,3382,0,0)",
+    ("Ours", "path-50") -> "RunMetrics(Ours,0.0,2,4,2,254,98,100,0,6,0,46,6,1,205,0,0)",
+    ("Ours", "random-dense") -> "RunMetrics(Ours,0.0,21,37,16,12766,5512,2946,0,4108,0,514,4108,22,4492,0,0)",
+    ("Ours", "random-sparse") -> "RunMetrics(Ours,0.0,4,15,12,3862,1386,1138,0,1038,0,156,1038,4,1903,0,0)",
+    ("Julienne", "caterpillar") -> "RunMetrics(Julienne,0.0,3,25,22,1790,288,520,288,266,0,0,288,2,1539,0,0)",
+    ("Julienne", "clique-20") -> "RunMetrics(Julienne,0.0,20,21,1,1320,380,80,380,80,0,0,380,19,1236,0,0)",
+    ("Julienne", "figure1") -> "RunMetrics(Julienne,0.0,4,9,6,148,26,38,26,21,0,0,26,3,532,0,0)",
+    ("Julienne", "grid-16x16") -> "RunMetrics(Julienne,0.0,3,18,15,4556,960,796,960,624,0,0,960,2,1928,0,0)",
+    ("Julienne", "hcns-25") -> "RunMetrics(Julienne,0.0,26,51,25,5205,1370,569,1370,416,0,0,1370,25,3574,0,0)",
+    ("Julienne", "path-50") -> "RunMetrics(Julienne,0.0,2,27,25,592,98,150,98,98,0,0,98,1,1674,0,0)",
+    ("Julienne", "random-dense") -> "RunMetrics(Julienne,0.0,21,40,19,21600,5512,1780,5512,3084,0,0,5512,21,5733,0,0)",
+    ("Julienne", "random-sparse") -> "RunMetrics(Julienne,0.0,4,18,15,6977,1386,1227,1386,1292,0,0,1386,4,2535,0,0)",
+    ("ParK", "caterpillar") -> "RunMetrics(ParK,0.0,3,25,22,864,288,420,0,16,0,105,16,1,515,0,0)",
+    ("ParK", "clique-20") -> "RunMetrics(ParK,0.0,20,21,1,1100,380,400,0,300,0,0,300,15,980,0,0)",
+    ("ParK", "figure1") -> "RunMetrics(ParK,0.0,4,9,6,101,26,44,0,20,0,0,20,2,468,0,0)",
+    ("ParK", "grid-16x16") -> "RunMetrics(ParK,0.0,3,18,15,2080,960,768,0,96,0,416,96,1,839,0,0)",
+    ("ParK", "hcns-25") -> "RunMetrics(ParK,0.0,26,50,25,4944,1370,2860,0,604,0,1,604,24,3382,0,0)",
+    ("ParK", "path-50") -> "RunMetrics(ParK,0.0,2,27,25,254,98,100,0,6,0,46,6,1,327,0,0)",
+    ("ParK", "random-dense") -> "RunMetrics(ParK,0.0,21,40,19,14020,5512,4200,0,4108,0,476,4108,18,5017,0,0)",
+    ("ParK", "random-sparse") -> "RunMetrics(ParK,0.0,4,18,15,3924,1386,1200,0,1038,0,146,1038,3,2149,0,0)",
+    ("PKC", "caterpillar") -> "RunMetrics(PKC,0.0,3,6,3,864,288,420,0,16,0,105,16,2,365,0,0)",
+    ("PKC", "clique-20") -> "RunMetrics(PKC,0.0,20,21,1,1100,380,400,0,300,0,0,300,15,980,0,0)",
+    ("PKC", "figure1") -> "RunMetrics(PKC,0.0,4,9,6,101,26,44,0,20,0,0,20,2,468,0,0)",
+    ("PKC", "grid-16x16") -> "RunMetrics(PKC,0.0,3,5,2,2080,960,768,0,96,0,416,96,1,729,0,0)",
+    ("PKC", "hcns-25") -> "RunMetrics(PKC,0.0,26,50,25,4944,1370,2860,0,604,0,1,604,24,3382,0,0)",
+    ("PKC", "path-50") -> "RunMetrics(PKC,0.0,2,4,2,254,98,100,0,6,0,46,6,1,205,0,0)",
+    ("PKC", "random-dense") -> "RunMetrics(PKC,0.0,21,37,16,14020,5512,4200,0,4108,0,514,4108,22,4492,0,0)",
+    ("PKC", "random-sparse") -> "RunMetrics(PKC,0.0,4,15,12,3924,1386,1200,0,1038,0,156,1038,4,1903,0,0)",
+  )
+
   // 5 presets × 8 graphs
   for ((gname, g) <- graphs; cfg <- presets) {
-    test(s"${cfg.name} == BZ on $gname") { check(g, cfg) }
+    test(s"${cfg.name} == BZ on $gname") {
+      assert(fingerprint(check(g, cfg)) == expectedFingerprints((cfg.name, gname)))
+    }
   }
 
   // All 8 technique combos on two representative graphs.
@@ -83,6 +134,8 @@ class EngineSpec extends SparkSpec {
     val m = check(g, cfg)
     assert(m.maxSampled > 0, "expected sample mode to engage")
     assert(m.restarts == 0)
+    assert(fingerprint(m) ==
+      "RunMetrics(Ours,0.0,7,38,31,36468,14186,9679,0,8182,753,1648,8794,24,10349,15,0)")
   }
 
   test("sampling reduces messages into hubs") {
