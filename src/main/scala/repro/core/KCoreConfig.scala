@@ -31,8 +31,7 @@ final case class KCoreConfig(
     sampling: Option[SamplingParams] = None,
     buckets: BucketChoice = OneBucket,
     nParts: Int = 16,
-    seed: Long = 42L,
-    checkpointEvery: Int = 16) extends Serializable {
+    seed: Long = 42L) extends Serializable {
   def withoutSampling: KCoreConfig = copy(sampling = None)
 }
 

@@ -47,10 +47,14 @@ object Csr {
   /** Build the per-partition CSRs from a canonical symmetric edge DataFrame.
     * Edges are shuffled to the owner of their source; each partition sorts
     * its share and lays out the CSR. The result is cached by the caller.
+    * An edge with an id outside [0, n) fails the first job that reads it.
     */
   def buildDistributed(spark: SparkSession, edges: DataFrame, n: Int, nParts: Int): RDD[PartitionGraph] = {
     val pairs: RDD[(Int, Int)] = edges.select("src", "dst").rdd.map { r =>
-      (r.get(0).asInstanceOf[Number].intValue(), r.get(1).asInstanceOf[Number].intValue())
+      val s = r.get(0).asInstanceOf[Number].longValue()
+      val d = r.get(1).asInstanceOf[Number].longValue()
+      require(s >= 0 && s < n && d >= 0 && d < n, s"edge ($s, $d) has a vertex id outside [0, $n)")
+      (s.toInt, d.toInt)
     }
     pairs
       .partitionBy(new PidPartitioner(nParts, n))
@@ -76,8 +80,8 @@ object Csr {
       }, preservesPartitioning = true)
   }
 
-  /** Driver-side split of a LocalGraph — used by tests to verify the
-    * distributed build, and by the engine's local fallback.
+  /** Driver-side split of a LocalGraph — used by `ParallelKCore.prepareLocal`,
+    * and by tests to verify the distributed build.
     */
   def buildLocal(g: LocalGraph, nParts: Int): Array[PartitionGraph] = {
     Array.tabulate(nParts) { pid =>

@@ -33,6 +33,9 @@ object SubroundIn {
   * operations and frontier scans all included, so the per-subround max over
   * partitions is the subround's critical path (contention at a hot owner
   * shows up here because the owner applies its inbound messages serially).
+  *
+  * The last four fields are the partition's state after the subround; the
+  * driver sums them over partitions to decide how the peel advances.
   */
 final case class SubCounters(
     work: Long,
@@ -45,7 +48,34 @@ final case class SubCounters(
     inboundApplied: Long,
     maxInboundPerVertex: Int,
     maxChainOps: Long, // ops of the longest single local search (a serial chain)
-    frontierProcessed: Int) extends Serializable
+    frontierProcessed: Int,
+    localFrontierSize: Int,
+    pendingRecounts: Int,
+    peeledOwnedTotal: Int,
+    sampledNow: Int) extends Serializable {
+
+  /** Field-wise sum; the two per-vertex/per-chain maxima take the max. */
+  def +(o: SubCounters): SubCounters = SubCounters(
+    work + o.work, edgeTraversals + o.edgeTraversals, decMsgs + o.decMsgs,
+    hitMsgs + o.hitMsgs, localDecs + o.localDecs, structOps + o.structOps,
+    histogramOps + o.histogramOps, inboundApplied + o.inboundApplied,
+    math.max(maxInboundPerVertex, o.maxInboundPerVertex), math.max(maxChainOps, o.maxChainOps),
+    frontierProcessed + o.frontierProcessed, localFrontierSize + o.localFrontierSize,
+    pendingRecounts + o.pendingRecounts, peeledOwnedTotal + o.peeledOwnedTotal,
+    sampledNow + o.sampledNow)
+
+  /** This partition's critical path in the subround: the longest serial
+    * chain (a single local search — unbounded for PKC, ≤128 for VGC) plus
+    * the serialized contention at the hottest vertex (atomic updates to one
+    * location serialize; each costs `CostWeights.Contention` cache transfers).
+    * Taken per partition, before the max over partitions.
+    */
+  def span: Long = maxChainOps + CostWeights.Contention.toLong * maxInboundPerVertex
+}
+
+object SubCounters {
+  val Zero: SubCounters = SubCounters(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+}
 
 /** Output of one partition for one subround. */
 final case class SubroundOut(
@@ -57,9 +87,5 @@ final case class SubroundOut(
     dirRemove: Array[Int],
     dirAdd: Array[Int],
     dirAddRate: Array[Double],
-    localFrontierSize: Int,
-    pendingRecounts: Int,
-    peeledOwnedTotal: Int,
-    sampledNow: Int,
     counters: SubCounters,
     error: Boolean) extends Serializable

@@ -3,7 +3,7 @@ package repro.engine
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 import repro.core.KCoreConfig
-import scala.collection.mutable.ArrayBuilder
+import scala.annotation.tailrec
 
 /** Raised when a sampled vertex's exact recount shows it missed its peeling
   * round (paper §4.1.4) — the caller restarts with sampling disabled.
@@ -59,32 +59,32 @@ final case class RunMetrics(
   */
 object PeelEngine {
 
+  /** Subrounds between `localCheckpoint`s, which bound the state's lineage. */
+  private val CheckpointEvery = 16
+
   /** Run k-core under `cfg` over a cached base graph. Restarts without
     * sampling if a recount detects a missed peel (never observed with the
-    * default μ — exercised in tests by forcing a tiny μ).
+    * default μ — exercised in tests by forcing a tiny μ). `wallMillis`
+    * covers every attempt.
     */
   def run(base: RDD[PartitionGraph], n: Int, maxDeg: Int, cfg: KCoreConfig): (Array[Int], RunMetrics) = {
-    var attempt = cfg
-    var restarts = 0
-    while (true) {
-      try {
-        val (core, m) = runOnce(base, n, maxDeg, attempt)
-        return (core, m.copy(restarts = restarts))
-      } catch {
-        case e: SamplingError =>
-          require(attempt.sampling.isDefined, s"sampling error without sampling: ${e.getMessage}")
-          restarts += 1
-          attempt = attempt.withoutSampling
+    val t0 = System.nanoTime()
+    @tailrec def attempt(cfg: KCoreConfig, restarts: Int): (Array[Int], RunMetrics) =
+      (try Right(runOnce(base, n, maxDeg, cfg)) catch { case e: SamplingError => Left(e) }) match {
+        case Right((core, m)) =>
+          (core, m.copy(wallMillis = (System.nanoTime() - t0) / 1e6, restarts = restarts))
+        case Left(e) =>
+          require(cfg.sampling.isDefined, s"sampling error without sampling: ${e.getMessage}")
+          attempt(cfg.withoutSampling, restarts + 1)
       }
-    }
-    throw new IllegalStateException("unreachable")
+    attempt(cfg, 0)
   }
 
+  /** One attempt; its metrics carry no wall time and no restarts. */
   private def runOnce(base: RDD[PartitionGraph], n: Int, maxDeg: Int,
                       cfg: KCoreConfig): (Array[Int], RunMetrics) = {
     val sc = base.sparkContext
     val nParts = cfg.nParts
-    val t0 = System.nanoTime()
 
     // --- init ---------------------------------------------------------------
     val initRdd = base
@@ -103,10 +103,8 @@ object PeelEngine {
     var sub = 0
     var rounds = 0
     var rhoPrime = 0
-    var work = 0L; var edges = 0L; var structOps = 0L; var histOps = 0L
-    var decMsgs = 0L; var hitMsgs = 0L; var localDecs = 0L; var inbound = 0L
+    var total = SubCounters.Zero
     var spanOps = 0L
-    var maxContention = 0
     var maxSampled = 0
 
     var done = false
@@ -121,11 +119,9 @@ object PeelEngine {
           (st, out)
         }
       }, preservesPartitioning = true)
-      if (cfg.checkpointEvery > 0 && sub % cfg.checkpointEvery == cfg.checkpointEvery - 1)
-        pair.localCheckpoint()
-      else
-        pair.persist(StorageLevel.MEMORY_ONLY)
-      val outs = pair.map(_._2).collect().sortBy(_.pid)
+      if (sub % CheckpointEvery == CheckpointEvery - 1) pair.localCheckpoint()
+      else pair.persist(StorageLevel.MEMORY_ONLY)
+      val outs = pair.map(_._2).collect().sortBy(_.pid).toSeq
       bc.unpersist(false)
       prevCached.unpersist(false)
       prevCached = pair
@@ -134,49 +130,23 @@ object PeelEngine {
       sub += 1
 
       // --- aggregate --------------------------------------------------------
-      var peeledTotal = 0
-      var frontierTotal = 0
-      var pendingTotal = 0
-      var msgsTotal = 0L
-      var processedThisSub = 0
-      var maxWork = 0L
-      var sampledNow = 0
-      var anyError = false
-      outs.foreach { o =>
-        peeledTotal += o.peeledOwnedTotal
-        frontierTotal += o.localFrontierSize
-        pendingTotal += o.pendingRecounts
-        msgsTotal += o.outDecs.map(_.length.toLong).sum + o.outHits.map(_.length.toLong).sum
-        processedThisSub += o.counters.frontierProcessed
-        sampledNow += o.sampledNow
-        anyError ||= o.error
-        val c = o.counters
-        work += c.work; edges += c.edgeTraversals; structOps += c.structOps
-        histOps += c.histogramOps; decMsgs += c.decMsgs; hitMsgs += c.hitMsgs
-        localDecs += c.localDecs; inbound += c.inboundApplied
-        // Subround critical path: the longest serial chain (a single local
-        // search — unbounded for PKC, ≤128 for VGC) plus the serialized
-        // contention at the hottest vertex (atomic updates to one location
-        // serialize; each costs ~ContentionWeight cache transfers).
-        val span = c.maxChainOps + CostWeights.Contention.toLong * c.maxInboundPerVertex
-        if (span > maxWork) maxWork = span
-        if (c.maxInboundPerVertex > maxContention) maxContention = c.maxInboundPerVertex
-      }
-      spanOps += maxWork
-      if (processedThisSub > 0) rhoPrime += 1
-      if (sampledNow > maxSampled) maxSampled = sampledNow
-      if (anyError && cfg.sampling.isDefined)
+      val c = outs.iterator.map(_.counters).reduce(_ + _)
+      total += c
+      spanOps += outs.iterator.map(_.counters.span).max
+      if (c.frontierProcessed > 0) rhoPrime += 1
+      if (c.sampledNow > maxSampled) maxSampled = c.sampledNow
+      if (outs.exists(_.error) && cfg.sampling.isDefined)
         throw new SamplingError(s"missed peel detected at round $k subround $sub")
 
       // --- route ------------------------------------------------------------
-      val peeledDelta = concat(outs.map(_.newlyPeeled))
-      val dirRemove = concat(outs.map(_.dirRemove))
-      val dirAdd = concat(outs.map(_.dirAdd))
-      val dirAddRate = concatD(outs.map(_.dirAddRate))
-      val offline = outs.head.outDecCounts != null
+      val peeledDelta = Array.concat(outs.map(_.newlyPeeled): _*)
+      val dirRemove = Array.concat(outs.map(_.dirRemove): _*)
+      val dirAdd = Array.concat(outs.map(_.dirAdd): _*)
+      val dirAddRate = Array.concat(outs.map(_.dirAddRate): _*)
+      val noMsgs = outs.forall(o => o.outDecs.forall(_.isEmpty) && o.outHits.forall(_.isEmpty))
 
-      if (frontierTotal == 0 && msgsTotal == 0 && pendingTotal == 0) {
-        if (peeledTotal >= n) done = true
+      if (c.localFrontierSize == 0 && noMsgs && c.pendingRecounts == 0) {
+        if (c.peeledOwnedTotal >= n) done = true
         else {
           k += 1
           in = SubroundIn(k, roundStart = true, sub,
@@ -185,10 +155,10 @@ object PeelEngine {
             peeledDelta, dirRemove, dirAdd, dirAddRate)
         }
       } else {
-        val decs = Array.tabulate(nParts)(p => concat(outs.map(_.outDecs(p))))
-        val cnts = if (offline) Array.tabulate(nParts)(p => concat(outs.map(_.outDecCounts(p)))) else null
-        val hits = Array.tabulate(nParts)(p => concat(outs.map(_.outHits(p))))
-        in = SubroundIn(k, roundStart = false, sub, decs, cnts, hits,
+        def gather(f: SubroundOut => Array[Array[Int]]) =
+          Array.tabulate(nParts)(p => Array.concat(outs.map(f(_)(p)): _*))
+        val cnts = if (outs.head.outDecCounts != null) gather(_.outDecCounts) else null
+        in = SubroundIn(k, roundStart = false, sub, gather(_.outDecs), cnts, gather(_.outHits),
           peeledDelta, dirRemove, dirAdd, dirAddRate)
       }
     }
@@ -200,26 +170,9 @@ object PeelEngine {
     }.collect().foreach { case (v, c) => core(v) = c }
     prevCached.unpersist(false)
 
-    val wall = (System.nanoTime() - t0) / 1e6
-    val metrics = RunMetrics(cfg.name, wall, rounds, sub, rhoPrime, work, edges,
-      structOps, histOps, decMsgs, hitMsgs, localDecs, inbound, maxContention,
-      spanOps, maxSampled, 0)
+    val metrics = RunMetrics(cfg.name, 0, rounds, sub, rhoPrime, total.work, total.edgeTraversals,
+      total.structOps, total.histogramOps, total.decMsgs, total.hitMsgs, total.localDecs,
+      total.inboundApplied, total.maxInboundPerVertex, spanOps, maxSampled, 0)
     (core, metrics)
-  }
-
-  private def concat(arrs: Seq[Array[Int]]): Array[Int] = {
-    val total = arrs.iterator.map(_.length).sum
-    val out = new Array[Int](total)
-    var off = 0
-    arrs.foreach { a => System.arraycopy(a, 0, out, off, a.length); off += a.length }
-    out
-  }
-
-  private def concatD(arrs: Seq[Array[Double]]): Array[Double] = {
-    val total = arrs.iterator.map(_.length).sum
-    val out = new Array[Double](total)
-    var off = 0
-    arrs.foreach { a => System.arraycopy(a, 0, out, off, a.length); off += a.length }
-    out
   }
 }

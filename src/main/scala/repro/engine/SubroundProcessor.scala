@@ -57,16 +57,13 @@ object SubroundProcessor {
     // --- outputs ------------------------------------------------------------
     val outDecs = Array.fill(nParts)(new ArrayBuilder.ofInt)
     val outHits = Array.fill(nParts)(new ArrayBuilder.ofInt)
-    val histo: java.util.HashMap[Integer, Integer] =
-      if (cfg.peel == Offline) new java.util.HashMap[Integer, Integer]() else null
+    val histo = if (cfg.peel == Offline) new ArrayBuilder.ofInt else null // targets, one per edge
     val newlyPeeled = new ArrayBuilder.ofInt
     val dirRemoveOut = new ArrayBuilder.ofInt
     val dirAddOut = new ArrayBuilder.ofInt
     val dirAddRateOut = new ArrayBuilder.ofDouble
     val pendingNext = new ArrayBuilder.ofInt
-    var pendingNextCount = 0
     val nextFrontier = new ArrayBuilder.ofInt
-    var nextFrontierCount = 0
     val newSampled = new ArrayBuilder.ofInt
 
     // Roots to peel this subround: carried-over frontier + additions below.
@@ -79,7 +76,6 @@ object SubroundProcessor {
       st.mode(j) = 2
       dirRemoveOut += v
       pendingNext += v
-      pendingNextCount += 1
     }
 
     // --- step 0: sampler-directory deltas ----------------------------------
@@ -96,7 +92,7 @@ object SubroundProcessor {
     while (i < in.peeledDelta.length) { st.setPeeledBit(in.peeledDelta(i)); i += 1 }
 
     // --- step 2: incoming explicit decrements -------------------------------
-    val inb = new java.util.HashMap[Integer, Integer]()
+    val inb = new Array[Int](g.nOwned) // inbound messages per local id
     val decT = in.decs(pid)
     val decC = if (in.decCounts != null) in.decCounts(pid) else null
     i = 0
@@ -105,9 +101,9 @@ object SubroundProcessor {
       val c = if (decC != null) decC(i) else 1
       inboundApplied += c
       work += c
-      val cur = inb.merge(Integer.valueOf(t), Integer.valueOf(c), (a, b) => Integer.valueOf(a + b))
-      if (cur > maxInbound) maxInbound = cur
       val j = st.li(t)
+      inb(j) += c
+      if (inb(j) > maxInbound) maxInbound = inb(j)
       if (st.core(j) == -1) {
         if (st.mode(j) == 1) {
           // In-flight decrement to a vertex that just entered sample mode —
@@ -132,9 +128,9 @@ object SubroundProcessor {
       val t = hitT(i)
       inboundApplied += 1
       work += 1
-      val cur = inb.merge(Integer.valueOf(t), Integer.valueOf(1), (a, b) => Integer.valueOf(a + b))
-      if (cur > maxInbound) maxInbound = cur
       val j = st.li(t)
+      inb(j) += 1
+      if (inb(j) > maxInbound) maxInbound = inb(j)
       if (st.core(j) == -1 && st.mode(j) == 1) {
         st.cnt(j) += 1
         if (st.cnt(j) >= mu) beginExit(t)
@@ -234,7 +230,7 @@ object SubroundProcessor {
             edgeTraversals += 1
             work += 1
             if (!online) {
-              histo.merge(Integer.valueOf(u), Integer.valueOf(1), (a, b) => Integer.valueOf(a + b))
+              histo += u
               histogramOps += 1
               work += 1
             } else if (g.owns(u)) {
@@ -255,7 +251,7 @@ object SubroundProcessor {
                   if (st.deg(ju) == k) {
                     st.core(ju) = k
                     if (cfg.vgcQueue > 0 && chain.size < cfg.vgcQueue) chain.add(u)
-                    else { nextFrontier += u; nextFrontierCount += 1 }
+                    else nextFrontier += u
                   }
                 }
               }
@@ -277,23 +273,28 @@ object SubroundProcessor {
       }
     }
 
-    // Offline mode: split the histogram into per-partition (target, count)
-    // message arrays — including self-addressed ones (batch-synchronous
-    // application next subround, Alg. 2).
+    // Offline mode: build the histogram by sorting the targets and counting
+    // runs, then split it into per-partition (target, count) message arrays —
+    // including self-addressed ones (batch-synchronous application next
+    // subround, Alg. 2).
     var outDecArrays: Array[Array[Int]] = null
     var outCntArrays: Array[Array[Int]] = null
     if (!online) {
       val decB = Array.fill(nParts)(new ArrayBuilder.ofInt)
       val cntB = Array.fill(nParts)(new ArrayBuilder.ofInt)
-      val it = histo.entrySet().iterator()
-      while (it.hasNext) {
-        val e = it.next()
-        val t = e.getKey.intValue()
+      val targets = histo.result()
+      java.util.Arrays.sort(targets)
+      var a = 0
+      while (a < targets.length) {
+        val t = targets(a)
+        var b = a + 1
+        while (b < targets.length && targets(b) == t) b += 1
         val p = Csr.ownerOf(t, n, nParts)
         decB(p) += t
-        cntB(p) += e.getValue.intValue()
+        cntB(p) += b - a
         decMsgs += 1
         work += 1
+        a = b
       }
       outDecArrays = decB.map(_.result())
       outCntArrays = cntB.map(_.result())
@@ -318,12 +319,9 @@ object SubroundProcessor {
       dirRemoveOut.result(),
       dirAddOut.result(),
       dirAddRateOut.result(),
-      st.frontier.length,
-      pendingNextCount,
-      st.peeledOwnedCount,
-      st.sampledOwned.length,
       SubCounters(work, edgeTraversals, decMsgs, hitMsgs, localDecs, structOps,
-        histogramOps, inboundApplied, maxInbound, maxChainOps, frontierProcessed),
+        histogramOps, inboundApplied, maxInbound, maxChainOps, frontierProcessed,
+        st.frontier.length, st.pendingRecount.length, st.peeledOwnedCount, st.sampledOwned.length),
       error)
   }
 }
