@@ -92,10 +92,48 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  private val expectedComboFingerprints: Map[(String, String), String] = Map(
+    ("Plain", "random-dense") -> "RunMetrics(Plain,0.0,21,40,19,14004,5512,4184,0,4108,0,476,4108,18,5017,0,0)",
+    ("Plain", "caterpillar") -> "RunMetrics(Plain,0.0,3,25,22,859,288,415,0,16,0,105,16,1,515,0,0)",
+    ("HBS", "random-dense") -> "RunMetrics(HBS,0.0,21,40,19,12766,5512,2946,0,4108,0,476,4108,18,5017,0,0)",
+    ("HBS", "caterpillar") -> "RunMetrics(HBS,0.0,3,25,22,859,288,415,0,16,0,105,16,1,515,0,0)",
+    ("Sample", "random-dense") -> "RunMetrics(Sample,0.0,21,40,19,14004,5512,4184,0,4108,0,476,4108,18,5017,0,0)",
+    ("Sample", "caterpillar") -> "RunMetrics(Sample,0.0,3,25,22,859,288,415,0,16,0,105,16,1,515,0,0)",
+    ("Sample+HBS", "random-dense") -> "RunMetrics(Sample+HBS,0.0,21,40,19,12766,5512,2946,0,4108,0,476,4108,18,5017,0,0)",
+    ("Sample+HBS", "caterpillar") -> "RunMetrics(Sample+HBS,0.0,3,25,22,859,288,415,0,16,0,105,16,1,515,0,0)",
+    ("VGC", "random-dense") -> "RunMetrics(VGC,0.0,21,37,16,14004,5512,4184,0,4108,0,514,4108,22,4492,0,0)",
+    ("VGC", "caterpillar") -> "RunMetrics(VGC,0.0,3,6,3,859,288,415,0,16,0,105,16,2,365,0,0)",
+    ("VGC+HBS", "random-dense") -> "RunMetrics(VGC+HBS,0.0,21,37,16,12766,5512,2946,0,4108,0,514,4108,22,4492,0,0)",
+    ("VGC+HBS", "caterpillar") -> "RunMetrics(VGC+HBS,0.0,3,6,3,859,288,415,0,16,0,105,16,2,365,0,0)",
+    ("VGC+Sample", "random-dense") -> "RunMetrics(VGC+Sample,0.0,21,37,16,14004,5512,4184,0,4108,0,514,4108,22,4492,0,0)",
+    ("VGC+Sample", "caterpillar") -> "RunMetrics(VGC+Sample,0.0,3,6,3,859,288,415,0,16,0,105,16,2,365,0,0)",
+    ("All", "random-dense") -> "RunMetrics(All,0.0,21,37,16,12766,5512,2946,0,4108,0,514,4108,22,4492,0,0)",
+    ("All", "caterpillar") -> "RunMetrics(All,0.0,3,6,3,859,288,415,0,16,0,105,16,2,365,0,0)",
+  )
+
   // All 8 technique combos on two representative graphs.
   for (cfg <- KCoreConfig.combos; gname <- Seq("random-dense", "caterpillar")) {
     test(s"combo ${cfg.name} == BZ on $gname") {
-      check(graphs.toMap.apply(gname), cfg)
+      assert(fingerprint(check(graphs.toMap.apply(gname), cfg)) == expectedComboFingerprints((cfg.name, gname)))
+    }
+  }
+
+  private val expectedHubFingerprints: Map[(String, Int), String] = Map(
+    ("Sample", 4) -> "RunMetrics(Sample,0.0,7,62,55,35551,14186,9679,0,8599,220,1907,8802,22,11694,3,0)",
+    ("Sample", 7) -> "RunMetrics(Sample,0.0,7,62,55,37265,14186,9679,0,10283,235,1186,10516,24,13648,3,0)",
+    ("VGC+Sample", 4) -> "RunMetrics(VGC+Sample,0.0,7,38,31,35543,14186,9679,0,8582,228,1885,8794,30,11050,3,0)",
+    ("VGC+Sample", 7) -> "RunMetrics(VGC+Sample,0.0,7,48,41,37246,14186,9679,0,10256,248,1225,10497,28,12553,3,0)",
+  )
+
+  // The sampling combos on a hub graph where sample mode engages without a
+  // restart, so the pinned counters cover hits and the sampler directory.
+  for (cfg <- KCoreConfig.combos.filter(c => c.name == "Sample" || c.name == "VGC+Sample"); nParts <- Seq(4, 7)) {
+    test(s"combo ${cfg.name} samples on hubby at nParts $nParts") {
+      val m = check(TestGraphs.hubby(1500, 3, 0.3, 6),
+        cfg.copy(sampling = Some(SamplingParams(threshold = 100))), nParts)
+      assert(m.restarts == 0)
+      assert(m.maxSampled > 0)
+      assert(fingerprint(m) == expectedHubFingerprints((cfg.name, nParts)))
     }
   }
 
