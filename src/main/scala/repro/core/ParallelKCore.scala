@@ -32,8 +32,9 @@ object ParallelKCore {
     */
   def prepareLocal(spark: SparkSession, g: LocalGraph, nParts: Int = 16): GraphHandle = {
     val parts = Csr.buildLocal(g, nParts)
-    // One PartitionGraph per Spark partition; message routing keys on g.pid,
-    // so index alignment is convenient but not required.
+    // One PartitionGraph per Spark partition. Receivers pick out messages by
+    // vertex ownership (g.lo until g.hi), so index alignment is convenient
+    // but not required.
     val base = spark.sparkContext
       .parallelize(parts.toIndexedSeq, nParts)
       .persist(StorageLevel.MEMORY_ONLY)

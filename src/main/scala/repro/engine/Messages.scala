@@ -1,30 +1,17 @@
 package repro.engine
 
-/** Broadcast input of one subround. `decs`/`hits` are indexed by destination
-  * partition; each partition reads only its own inbox but every partition
-  * applies `peeledDelta` and the sampler-directory deltas (the directory is
-  * replicated so *senders* can decide dec-vs-hit, mirroring the shared-memory
-  * read of σ[u]).
+/** Broadcast input of one subround: every partition's output of the
+  * previous subround, in pid order (the init job's outputs for the first
+  * subround). Every partition applies every output's peeled vertices and
+  * sampler-directory changes, and the messages whose target it owns. The
+  * directory is replicated so *senders* can decide dec-vs-hit, mirroring
+  * the shared-memory read of σ[u].
   */
 final case class SubroundIn(
     k: Int,
     roundStart: Boolean,
     subroundIndex: Int,
-    decs: Array[Array[Int]],
-    decCounts: Array[Array[Int]], // aligned with decs in Offline mode, else null
-    hits: Array[Array[Int]],
-    peeledDelta: Array[Int],
-    dirRemove: Array[Int],
-    dirAdd: Array[Int],
-    dirAddRate: Array[Double]) extends Serializable
-
-object SubroundIn {
-  def initial(nParts: Int, dirAdd: Array[Int], dirAddRate: Array[Double]): SubroundIn =
-    SubroundIn(0, roundStart = true, 0,
-      Array.fill(nParts)(Array.emptyIntArray), null,
-      Array.fill(nParts)(Array.emptyIntArray),
-      Array.emptyIntArray, Array.emptyIntArray, dirAdd, dirAddRate)
-}
+    outs: Array[SubroundOut]) extends Serializable
 
 /** Per-subround operation counters of one partition (feeds the cost model).
   *
@@ -77,15 +64,22 @@ object SubCounters {
   val Zero: SubCounters = SubCounters(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 }
 
-/** Output of one partition for one subround. */
+/** Output of one partition for one subround. Message targets are global
+  * ids owned by any partition; each receiver picks out its own.
+  *
+  * @param decs      decrement targets (Offline: one per distinct target, sorted)
+  * @param decCounts aligned with `decs` in Offline mode, else null
+  * @param hits      sample-hit targets
+  * @param dirV      sampler-directory changes in the order they were made:
+  *                  `dirV(i)` gets rate `dirRate(i)`; rate 0 removes it
+  */
 final case class SubroundOut(
     pid: Int,
-    outDecs: Array[Array[Int]],
-    outDecCounts: Array[Array[Int]], // null unless Offline
-    outHits: Array[Array[Int]],
+    decs: Array[Int],
+    decCounts: Array[Int],
+    hits: Array[Int],
     newlyPeeled: Array[Int],
-    dirRemove: Array[Int],
-    dirAdd: Array[Int],
-    dirAddRate: Array[Double],
+    dirV: Array[Int],
+    dirRate: Array[Double],
     counters: SubCounters,
     error: Boolean) extends Serializable

@@ -42,11 +42,11 @@ final class PartitionState(
 
 object PartitionState {
 
-  /** Fresh state for one partition under `cfg`. Returns the state plus the
-    * initial sampler-directory entries contributed by this partition
-    * (vertices put into sample mode at k = 0).
+  /** Fresh state for one partition under `cfg`. Returns the state plus an
+    * output that carries this partition's initial sampler-directory entries
+    * (vertices put into sample mode at k = 0), the first subround's input.
     */
-  def init(g: PartitionGraph, cfg: KCoreConfig, maxDegGlobal: Int): (PartitionState, Array[Int], Array[Double]) = {
+  def init(g: PartitionGraph, cfg: KCoreConfig, maxDegGlobal: Int): (PartitionState, SubroundOut) = {
     val nOwned = g.nOwned
     val deg = Array.tabulate(nOwned)(g.degreeLocal)
     val core = Array.fill(nOwned)(-1)
@@ -63,8 +63,8 @@ object PartitionState {
     val owned = Array.tabulate(nOwned)(i => g.lo + i)
     strategy.init(owned, v => deg(v - g.lo))
     val dir = new java.util.HashMap[Integer, java.lang.Double]()
-    val dirAddV = new scala.collection.mutable.ArrayBuilder.ofInt
-    val dirAddR = new scala.collection.mutable.ArrayBuilder.ofDouble
+    val dirV = new scala.collection.mutable.ArrayBuilder.ofInt
+    val dirRate = new scala.collection.mutable.ArrayBuilder.ofDouble
     val sampled = new scala.collection.mutable.ArrayBuilder.ofInt
     cfg.sampling.foreach { sp =>
       var i = 0
@@ -72,8 +72,8 @@ object PartitionState {
         if (sp.canSample(deg(i), 0)) {
           mode(i) = 1
           rate(i) = sp.rateFor(deg(i), g.n)
-          dirAddV += (g.lo + i)
-          dirAddR += rate(i)
+          dirV += (g.lo + i)
+          dirRate += rate(i)
           sampled += (g.lo + i)
         }
         i += 1
@@ -81,6 +81,7 @@ object PartitionState {
     }
     val st = new PartitionState(g, deg, core, peeled, mode, cnt, rate,
       Array.emptyIntArray, Array.emptyIntArray, sampled.result(), strategy, dir, 0)
-    (st, dirAddV.result(), dirAddR.result())
+    val e = Array.emptyIntArray
+    (st, SubroundOut(g.pid, e, null, e, e, dirV.result(), dirRate.result(), SubCounters.Zero, error = false))
   }
 }

@@ -54,7 +54,8 @@ final case class RunMetrics(
     restarts: Int)
 
 /** The BSP peeling engine: driver-orchestrated subrounds over an
-  * `RDD[PartitionState]`, with broadcast inboxes and collected outboxes.
+  * `RDD[PartitionState]`. Each subround collects every partition's output
+  * and broadcasts the whole list, unrouted, as the next subround's input.
   * See DESIGN.md §5 for the full protocol.
   */
 object PeelEngine {
@@ -84,19 +85,14 @@ object PeelEngine {
   private def runOnce(base: RDD[PartitionGraph], n: Int, maxDeg: Int,
                       cfg: KCoreConfig): (Array[Int], RunMetrics) = {
     val sc = base.sparkContext
-    val nParts = cfg.nParts
 
     // --- init ---------------------------------------------------------------
     val initRdd = base
       .mapPartitions(it => it.map(g => PartitionState.init(g, cfg, maxDeg)), preservesPartitioning = true)
       .persist(StorageLevel.MEMORY_ONLY)
-    val dirInit = initRdd.map(t => (t._2, t._3)).collect()
     var state: RDD[PartitionState] = initRdd.map(_._1)
     var prevCached: RDD[_] = initRdd
-
-    var in = SubroundIn.initial(nParts,
-      dirInit.iterator.flatMap(_._1).toArray,
-      dirInit.iterator.flatMap(_._2).toArray)
+    var in = SubroundIn(0, roundStart = true, 0, initRdd.map(_._2).collect().sortBy(_.pid))
 
     // --- metrics accumulators ----------------------------------------------
     var k = 0
@@ -121,7 +117,7 @@ object PeelEngine {
       }, preservesPartitioning = true)
       if (sub % CheckpointEvery == CheckpointEvery - 1) pair.localCheckpoint()
       else pair.persist(StorageLevel.MEMORY_ONLY)
-      val outs = pair.map(_._2).collect().sortBy(_.pid).toSeq
+      val outs = pair.map(_._2).collect().sortBy(_.pid)
       bc.unpersist(false)
       prevCached.unpersist(false)
       prevCached = pair
@@ -138,28 +134,15 @@ object PeelEngine {
       if (outs.exists(_.error) && cfg.sampling.isDefined)
         throw new SamplingError(s"missed peel detected at round $k subround $sub")
 
-      // --- route ------------------------------------------------------------
-      val peeledDelta = Array.concat(outs.map(_.newlyPeeled): _*)
-      val dirRemove = Array.concat(outs.map(_.dirRemove): _*)
-      val dirAdd = Array.concat(outs.map(_.dirAdd): _*)
-      val dirAddRate = Array.concat(outs.map(_.dirAddRate): _*)
-      val noMsgs = outs.forall(o => o.outDecs.forall(_.isEmpty) && o.outHits.forall(_.isEmpty))
-
-      if (c.localFrontierSize == 0 && noMsgs && c.pendingRecounts == 0) {
-        if (c.peeledOwnedTotal >= n) done = true
-        else {
-          k += 1
-          in = SubroundIn(k, roundStart = true, sub,
-            Array.fill(nParts)(Array.emptyIntArray), null,
-            Array.fill(nParts)(Array.emptyIntArray),
-            peeledDelta, dirRemove, dirAdd, dirAddRate)
-        }
-      } else {
-        def gather(f: SubroundOut => Array[Array[Int]]) =
-          Array.tabulate(nParts)(p => Array.concat(outs.map(f(_)(p)): _*))
-        val cnts = if (outs.head.outDecCounts != null) gather(_.outDecCounts) else null
-        in = SubroundIn(k, roundStart = false, sub, gather(_.outDecs), cnts, gather(_.outHits),
-          peeledDelta, dirRemove, dirAdd, dirAddRate)
+      // --- advance ----------------------------------------------------------
+      // A round ends when no partition has work or messages pending; the
+      // next round's input is these outputs, which then carry no messages.
+      val noMsgs = outs.forall(o => o.decs.isEmpty && o.hits.isEmpty)
+      val roundEnds = c.localFrontierSize == 0 && noMsgs && c.pendingRecounts == 0
+      if (roundEnds && c.peeledOwnedTotal >= n) done = true
+      else {
+        if (roundEnds) k += 1
+        in = SubroundIn(k, roundEnds, sub, outs)
       }
     }
 

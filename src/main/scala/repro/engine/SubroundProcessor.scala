@@ -9,9 +9,11 @@ import scala.collection.mutable.ArrayBuilder
   *
   * Step order matters for the two-phase sampling exit protocol — see
   * DESIGN.md §5:
-  *   1. apply the broadcast peeled-bitmap delta,
-  *   2. apply incoming explicit decrements (crossings join this frontier),
-  *   3. apply incoming sample hits (may schedule exits),
+  *   0. apply every partition's sampler-directory changes, in order,
+  *   1. apply every partition's newly peeled vertices to the bitmap,
+  *   2. apply the explicit decrements to owned targets (crossings join
+  *      this frontier),
+  *   3. apply the sample hits to owned targets (may schedule exits),
   *   4. on round start: extract the frontier from the bucket strategy and
   *      validate every sampled vertex,
   *   5. perform the exact recounts scheduled in the previous subround,
@@ -34,7 +36,6 @@ object SubroundProcessor {
     val g = st.g
     val pid = g.pid
     val n = g.n
-    val nParts = g.nParts
     val k = in.k
     val sp = cfg.sampling.orNull
     val mu = if (sp == null) Int.MaxValue else sp.mu(n)
@@ -55,13 +56,12 @@ object SubroundProcessor {
     var error = false
 
     // --- outputs ------------------------------------------------------------
-    val outDecs = Array.fill(nParts)(new ArrayBuilder.ofInt)
-    val outHits = Array.fill(nParts)(new ArrayBuilder.ofInt)
+    val decs = new ArrayBuilder.ofInt
+    val hits = new ArrayBuilder.ofInt
     val histo = if (cfg.peel == Offline) new ArrayBuilder.ofInt else null // targets, one per edge
     val newlyPeeled = new ArrayBuilder.ofInt
-    val dirRemoveOut = new ArrayBuilder.ofInt
-    val dirAddOut = new ArrayBuilder.ofInt
-    val dirAddRateOut = new ArrayBuilder.ofDouble
+    val dirV = new ArrayBuilder.ofInt
+    val dirRate = new ArrayBuilder.ofDouble
     val pendingNext = new ArrayBuilder.ofInt
     val nextFrontier = new ArrayBuilder.ofInt
     val newSampled = new ArrayBuilder.ofInt
@@ -72,70 +72,79 @@ object SubroundProcessor {
     while (i < st.frontier.length) { roots.add(st.frontier(i)); i += 1 }
 
     @inline def beginExit(v: Int): Unit = {
-      val j = st.li(v)
-      st.mode(j) = 2
-      dirRemoveOut += v
+      st.mode(st.li(v)) = 2
+      dirV += v; dirRate += 0.0
       pendingNext += v
     }
 
-    // --- step 0: sampler-directory deltas ----------------------------------
-    i = 0
-    while (i < in.dirRemove.length) { st.dir.remove(Integer.valueOf(in.dirRemove(i))); i += 1 }
-    i = 0
-    while (i < in.dirAdd.length) {
-      st.dir.put(Integer.valueOf(in.dirAdd(i)), java.lang.Double.valueOf(in.dirAddRate(i)))
-      i += 1
+    // --- step 0: sampler-directory changes ----------------------------------
+    // Applied in the order they were made: a vertex that re-enters sample
+    // mode and exits again in one subround ends up absent.
+    in.outs.foreach { o =>
+      var x = 0
+      while (x < o.dirV.length) {
+        val v = Integer.valueOf(o.dirV(x))
+        if (o.dirRate(x) == 0.0) st.dir.remove(v) else st.dir.put(v, java.lang.Double.valueOf(o.dirRate(x)))
+        x += 1
+      }
     }
 
     // --- step 1: peeled-bitmap delta ----------------------------------------
-    i = 0
-    while (i < in.peeledDelta.length) { st.setPeeledBit(in.peeledDelta(i)); i += 1 }
+    in.outs.foreach { o =>
+      var x = 0
+      while (x < o.newlyPeeled.length) { st.setPeeledBit(o.newlyPeeled(x)); x += 1 }
+    }
 
     // --- step 2: incoming explicit decrements -------------------------------
     val inb = new Array[Int](g.nOwned) // inbound messages per local id
-    val decT = in.decs(pid)
-    val decC = if (in.decCounts != null) in.decCounts(pid) else null
-    i = 0
-    while (i < decT.length) {
-      val t = decT(i)
-      val c = if (decC != null) decC(i) else 1
-      inboundApplied += c
-      work += c
-      val j = st.li(t)
-      inb(j) += c
-      if (inb(j) > maxInbound) maxInbound = inb(j)
-      if (st.core(j) == -1) {
-        if (st.mode(j) == 1) {
-          // In-flight decrement to a vertex that just entered sample mode —
-          // apply it; the degree stays a conservative upper bound.
-          st.deg(j) -= c
-          st.strategy.onDecrease(t, st.deg(j))
-        } else if (st.mode(j) == 2) {
-          // Recount pending; these peels are covered by the bitmap.
-        } else {
-          st.deg(j) -= c
-          st.strategy.onDecrease(t, st.deg(j))
-          if (st.deg(j) <= k) { st.core(j) = k; roots.add(t) }
+    in.outs.foreach { o =>
+      var x = 0
+      while (x < o.decs.length) {
+        val t = o.decs(x)
+        if (g.owns(t)) {
+          val c = if (o.decCounts != null) o.decCounts(x) else 1
+          inboundApplied += c
+          work += c
+          val j = st.li(t)
+          inb(j) += c
+          if (inb(j) > maxInbound) maxInbound = inb(j)
+          if (st.core(j) == -1) {
+            if (st.mode(j) == 1) {
+              // In-flight decrement to a vertex that just entered sample mode —
+              // apply it; the degree stays a conservative upper bound.
+              st.deg(j) -= c
+              st.strategy.onDecrease(t, st.deg(j))
+            } else if (st.mode(j) == 2) {
+              // Recount pending; these peels are covered by the bitmap.
+            } else {
+              st.deg(j) -= c
+              st.strategy.onDecrease(t, st.deg(j))
+              if (st.deg(j) <= k) { st.core(j) = k; roots.add(t) }
+            }
+          }
         }
+        x += 1
       }
-      i += 1
     }
 
     // --- step 3: incoming sample hits ---------------------------------------
-    val hitT = in.hits(pid)
-    i = 0
-    while (i < hitT.length) {
-      val t = hitT(i)
-      inboundApplied += 1
-      work += 1
-      val j = st.li(t)
-      inb(j) += 1
-      if (inb(j) > maxInbound) maxInbound = inb(j)
-      if (st.core(j) == -1 && st.mode(j) == 1) {
-        st.cnt(j) += 1
-        if (st.cnt(j) >= mu) beginExit(t)
+    in.outs.foreach { o =>
+      var x = 0
+      while (x < o.hits.length) {
+        val t = o.hits(x)
+        if (g.owns(t)) {
+          inboundApplied += 1
+          work += 1
+          val j = st.li(t)
+          inb(j) += 1
+          if (inb(j) > maxInbound) maxInbound = inb(j)
+          if (st.core(j) == -1 && st.mode(j) == 1) {
+            st.cnt(j) += 1
+            if (st.cnt(j) >= mu) beginExit(t)
+          }
+        }
+        x += 1
       }
-      i += 1
     }
 
     // --- step 4: round start — frontier extraction + validation -------------
@@ -193,8 +202,7 @@ object SubroundProcessor {
         } else if (sp != null && sp.canSample(trueDeg, k)) {
           st.mode(j) = 1
           st.rateArr(j) = sp.rateFor(trueDeg, n)
-          dirAddOut += v
-          dirAddRateOut += st.rateArr(j)
+          dirV += v; dirRate += st.rateArr(j)
           newSampled += v
         } else {
           st.mode(j) = 0
@@ -259,11 +267,11 @@ object SubroundProcessor {
               val rt = st.dir.get(Integer.valueOf(u))
               if (rt != null) {
                 if (rng.nextDouble() < rt.doubleValue()) {
-                  outHits(Csr.ownerOf(u, n, nParts)) += u
+                  hits += u
                   hitMsgs += 1
                 }
               } else {
-                outDecs(Csr.ownerOf(u, n, nParts)) += u
+                decs += u
                 decMsgs += 1
               }
             }
@@ -274,14 +282,10 @@ object SubroundProcessor {
     }
 
     // Offline mode: build the histogram by sorting the targets and counting
-    // runs, then split it into per-partition (target, count) message arrays —
-    // including self-addressed ones (batch-synchronous application next
-    // subround, Alg. 2).
-    var outDecArrays: Array[Array[Int]] = null
-    var outCntArrays: Array[Array[Int]] = null
+    // runs into (target, count) messages — including self-addressed ones
+    // (batch-synchronous application next subround, Alg. 2).
+    val decCounts = if (online) null else new ArrayBuilder.ofInt
     if (!online) {
-      val decB = Array.fill(nParts)(new ArrayBuilder.ofInt)
-      val cntB = Array.fill(nParts)(new ArrayBuilder.ofInt)
       val targets = histo.result()
       java.util.Arrays.sort(targets)
       var a = 0
@@ -289,17 +293,12 @@ object SubroundProcessor {
         val t = targets(a)
         var b = a + 1
         while (b < targets.length && targets(b) == t) b += 1
-        val p = Csr.ownerOf(t, n, nParts)
-        decB(p) += t
-        cntB(p) += b - a
+        decs += t
+        decCounts += b - a
         decMsgs += 1
         work += 1
         a = b
       }
-      outDecArrays = decB.map(_.result())
-      outCntArrays = cntB.map(_.result())
-    } else {
-      outDecArrays = outDecs.map(_.result())
     }
 
     st.frontier = nextFrontier.result()
@@ -312,13 +311,12 @@ object SubroundProcessor {
 
     SubroundOut(
       pid,
-      outDecArrays,
-      outCntArrays,
-      outHits.map(_.result()),
+      decs.result(),
+      if (decCounts == null) null else decCounts.result(),
+      hits.result(),
       newlyPeeled.result(),
-      dirRemoveOut.result(),
-      dirAddOut.result(),
-      dirAddRateOut.result(),
+      dirV.result(),
+      dirRate.result(),
       SubCounters(work, edgeTraversals, decMsgs, hitMsgs, localDecs, structOps,
         histogramOps, inboundApplied, maxInbound, maxChainOps, frontierProcessed,
         st.frontier.length, st.pendingRecount.length, st.peeledOwnedCount, st.sampledOwned.length),

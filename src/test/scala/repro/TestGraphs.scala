@@ -69,4 +69,20 @@ object TestGraphs {
     GraphGen.hubs(el, n, nHubs, frac, seed + 1)
     LocalGraph.fromPairs(n, el.srcs, el.dsts)
   }
+
+  /** Hub 0 whose partition also holds 150 two-vertex pendant paths hanging
+    * off it and 3,000 leaves; a 40-cycle on the hub sits in the second half
+    * of the ids, padded with isolated vertices to n = 6,602 so that two
+    * partitions put the cycle in partition 1. The cycle plus the hub form
+    * the 3-core, so the hub's coreness is 3.
+    */
+  def hubWithRemoteCycle: LocalGraph = {
+    val paths = 150; val leaves = 3000; val cyc = 40
+    val half = 1 + 2 * paths + leaves
+    val n = 2 * half
+    val pathEdges = (1 to paths).flatMap(b => Seq((0, b), (b, b + paths)))
+    val leafEdges = (1 + 2 * paths until half).map(l => (0, l))
+    val cycleEdges = (0 until cyc).flatMap(j => Seq((half + j, half + (j + 1) % cyc), (0, half + j)))
+    LocalGraph.fromEdgeSeq(n, pathEdges ++ leafEdges ++ cycleEdges)
+  }
 }

@@ -1,5 +1,8 @@
 package repro.engine
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import repro.{SparkSpec, TestGraphs}
 import repro.core._
 import repro.graph.LocalGraph
@@ -174,6 +177,36 @@ class EngineSpec extends SparkSpec {
     assert(m.restarts == 0)
     assert(fingerprint(m) ==
       "RunMetrics(Ours,0.0,7,38,31,36468,14186,9679,0,8182,753,1648,8794,24,10349,15,0)")
+  }
+
+  test("a vertex that re-enters sample mode and exits in one subround leaves every directory") {
+    // The hub's recount puts it back into sample mode and its own peeled
+    // leaves push it out again in the same subround. A stale directory entry
+    // would keep the cycle's partition sending hits the hub drops.
+    val m = check(TestGraphs.hubWithRemoteCycle,
+      KCoreConfig.plain.copy(sampling = Some(SamplingParams(threshold = 48, r = 0.5))), nParts = 2)
+    assert(m.restarts == 0 && m.maxSampled > 0, m.toString)
+  }
+
+  test("engine == BZ on generated graphs, nParts and configs (property)") {
+    val sampled = KCoreConfig.combos.filter(_.sampling.isDefined)
+      .map(_.copy(sampling = Some(SamplingParams(threshold = 100))))
+    val graphGen: Gen[(String, LocalGraph)] = Gen.oneOf(
+      for (n <- Gen.choose(1, 300); m <- Gen.choose(0, 6 * n); seed <- Gen.choose(0L, 10000L))
+        yield (s"random($n, $m, $seed)", TestGraphs.random(n, m, seed)),
+      for (n <- Gen.choose(300, 800); hubs <- Gen.choose(1, 3); frac <- Gen.choose(0.2, 0.5); seed <- Gen.choose(0L, 10000L))
+        yield (s"hubby($n, $hubs, $frac, $seed)", TestGraphs.hubby(n, hubs, frac, seed)))
+    val prop = Prop.forAllNoShrink(graphGen, Gen.choose(1, 8), Gen.oneOf(presets ++ sampled)) {
+      case ((gname, g), nParts, cfg) =>
+        val handle = ParallelKCore.prepareLocal(spark, g, nParts)
+        val (core, m) = try ParallelKCore.run(handle, cfg) finally handle.unpersist()
+        ((core.toSeq == SeqKCore.bz(g).toSeq) :| "coreness == BZ" &&
+          (m.edgeTraversals == g.adj.length.toLong) :| "edgeTraversals == 2m" &&
+          (m.subroundsNonEmpty <= m.subrounds) :| "rho' <= subrounds") :| s"${cfg.name} on $gname, nParts $nParts"
+    }
+    val params = SCTest.Parameters.default.withMinSuccessfulTests(80).withInitialSeed(Seed(20250))
+    val res = SCTest.check(params, prop)
+    assert(res.passed, res.status.toString)
   }
 
   test("sampling reduces messages into hubs") {

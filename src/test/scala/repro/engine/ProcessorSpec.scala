@@ -17,11 +17,20 @@ class ProcessorSpec extends AnyFunSuite {
     PartitionState.init(parts(pid), cfg, path.maxDegree)._1
   }
 
+  /** One partition's output carrying the given messages and changes. */
+  private def sent(
+      decs: Array[Int] = Array.emptyIntArray,
+      hits: Array[Int] = Array.emptyIntArray,
+      peeled: Array[Int] = Array.emptyIntArray,
+      dirV: Array[Int] = Array.emptyIntArray,
+      dirRate: Array[Double] = Array.emptyDoubleArray): SubroundOut =
+    SubroundOut(0, decs, null, hits, peeled, dirV, dirRate, SubCounters.Zero, error = false)
+
   private def emptyIn(k: Int, roundStart: Boolean, sub: Int = 1): SubroundIn =
-    SubroundIn(k, roundStart, sub,
-      Array.fill(2)(Array.emptyIntArray), null,
-      Array.fill(2)(Array.emptyIntArray),
-      Array.emptyIntArray, Array.emptyIntArray, Array.emptyIntArray, Array.emptyDoubleArray)
+    SubroundIn(k, roundStart, sub, Array.empty)
+
+  private def inOf(k: Int, roundStart: Boolean, outs: SubroundOut*): SubroundIn =
+    SubroundIn(k, roundStart, 1, outs.toArray)
 
   test("init: induced degrees equal input degrees; nothing peeled") {
     val st = mkState(KCoreConfig.plain, 0)
@@ -49,7 +58,7 @@ class ProcessorSpec extends AnyFunSuite {
     // 0 → 1 → 2 → 3 all peel locally; the decrement to remote 4 is a message.
     assert(out.newlyPeeled.toSeq == Seq(0, 1, 2, 3))
     assert(st.frontier.isEmpty)
-    assert(out.outDecs(1).toSeq == Seq(4))
+    assert(out.decs.toSeq == Seq(4))
     assert(out.counters.maxChainOps >= 4)
   }
 
@@ -63,7 +72,7 @@ class ProcessorSpec extends AnyFunSuite {
 
   test("incoming explicit decrement crossing joins this subround's frontier") {
     val st = mkState(KCoreConfig.plain, 1) // owns 4..7, degrees (2,2,2,1)
-    val in = emptyIn(1, roundStart = false).copy(decs = Array(Array.emptyIntArray, Array(4)))
+    val in = inOf(1, roundStart = false, sent(decs = Array(4)))
     val out = SubroundProcessor.process(st, in, KCoreConfig.plain)
     // deg(4): 2 → 1 == k → assigned and peeled this subround, decrementing 5.
     assert(st.core(st.li(4)) == 1)
@@ -71,10 +80,18 @@ class ProcessorSpec extends AnyFunSuite {
     assert(st.deg(st.li(5)) == 1)
   }
 
+  test("messages to another partition's vertices are skipped") {
+    val st = mkState(KCoreConfig.plain, 1) // owns 4..7
+    val in = inOf(1, roundStart = false, sent(decs = Array(1, 2), hits = Array(3)), sent(decs = Array(5)))
+    val out1 = SubroundProcessor.process(st, in, KCoreConfig.plain)
+    assert(out1.counters.inboundApplied == 1)
+    assert(st.deg(st.li(5)) == 1)
+  }
+
   test("decrements to already-assigned vertices are ignored") {
     val st = mkState(KCoreConfig.plain, 1)
     st.core(st.li(4)) = 1 // pretend assigned
-    val in = emptyIn(1, roundStart = false).copy(decs = Array(Array.emptyIntArray, Array(4, 4)))
+    val in = inOf(1, roundStart = false, sent(decs = Array(4, 4)))
     val before = st.deg(st.li(4))
     SubroundProcessor.process(st, in, KCoreConfig.plain)
     assert(st.deg(st.li(4)) == before)
@@ -88,8 +105,8 @@ class ProcessorSpec extends AnyFunSuite {
     // histogram message, not an immediate application.
     assert(out.newlyPeeled.toSeq == Seq(0))
     assert(st.deg(1) == 2)
-    assert(out.outDecs(0).toSeq == Seq(1))
-    assert(out.outDecCounts(0).toSeq == Seq(1))
+    assert(out.decs.toSeq == Seq(1))
+    assert(out.decCounts.toSeq == Seq(1))
     assert(st.frontier.isEmpty)
   }
 
@@ -102,13 +119,13 @@ class ProcessorSpec extends AnyFunSuite {
     st.frontier = Array(0, 2)
     val out = SubroundProcessor.process(st, emptyIn(2, roundStart = false), cfg)
     // Both 0 and 2 decrement vertex 1 → one message (1, 2).
-    val idx = out.outDecs(0).indexOf(1)
-    assert(idx >= 0 && out.outDecCounts(0)(idx) == 2)
+    val idx = out.decs.indexOf(1)
+    assert(idx >= 0 && out.decCounts(idx) == 2)
   }
 
   test("sample hits to a non-sampled vertex are discarded") {
     val st = mkState(KCoreConfig.plain, 1)
-    val in = emptyIn(1, roundStart = false).copy(hits = Array(Array.emptyIntArray, Array(5, 5)))
+    val in = inOf(1, roundStart = false, sent(hits = Array(5, 5)))
     SubroundProcessor.process(st, in, KCoreConfig.plain)
     assert(st.deg(st.li(5)) == 2)
     assert(st.cnt(st.li(5)) == 0)
@@ -116,12 +133,29 @@ class ProcessorSpec extends AnyFunSuite {
 
   test("sampler directory deltas update the replica") {
     val st = mkState(KCoreConfig.plain, 0)
-    val in = emptyIn(0, roundStart = true).copy(dirAdd = Array(6), dirAddRate = Array(0.25))
+    val in = inOf(0, roundStart = true, sent(dirV = Array(6), dirRate = Array(0.25)))
     SubroundProcessor.process(st, in, KCoreConfig.plain)
     assert(st.dir.get(6) == 0.25)
-    val in2 = emptyIn(0, roundStart = false, sub = 2).copy(dirRemove = Array(6))
+    val in2 = inOf(0, roundStart = false, sent(dirV = Array(6), dirRate = Array(0.0)))
     SubroundProcessor.process(st, in2, KCoreConfig.plain)
     assert(!st.dir.containsKey(6))
+
+    // Hub 0 of a 30-leaf star re-enters sample mode in its recount (rate 1)
+    // and its 14 owned leaves, peeled in the same subround, hit it μ = 8
+    // times: it emits (0, rate) and then (0, 0), and a replica that applies
+    // them in that order drops the hub.
+    val star = TestGraphs.star(31)
+    val cfg = KCoreConfig.plain.copy(sampling = Some(SamplingParams(threshold = 16, r = 0.9, c = -1.95)))
+    val Array((hubSt, init0), (replica, init1)) =
+      Csr.buildLocal(star, 2).map(PartitionState.init(_, cfg, star.maxDegree))
+    SubroundProcessor.process(replica, SubroundIn(0, roundStart = true, 0, Array(init0, init1)), cfg)
+    assert(replica.dir.get(0) == 1.0)
+    hubSt.mode(0) = 2
+    hubSt.pendingRecount = Array(0)
+    val hubOut = SubroundProcessor.process(hubSt, emptyIn(1, roundStart = true), cfg)
+    assert(hubOut.dirV.toSeq == Seq(0, 0) && hubOut.dirRate.toSeq == Seq(1.0, 0.0))
+    SubroundProcessor.process(replica, inOf(1, roundStart = false, hubOut), cfg)
+    assert(!replica.dir.containsKey(0))
   }
 
   test("senders consult the directory: sampled remote targets get hits, not decs") {
@@ -129,18 +163,18 @@ class ProcessorSpec extends AnyFunSuite {
     val cfg = KCoreConfig.plain
     val st = mkState(cfg, 0)
     // Mark remote vertex 4 as sampled with rate 1.0 → every touch is a hit.
-    val in = emptyIn(1, roundStart = true).copy(dirAdd = Array(4), dirAddRate = Array(1.0))
+    val in = inOf(1, roundStart = true, sent(dirV = Array(4), dirRate = Array(1.0)))
     val out = SubroundProcessor.process(st, in, cfg)
     // Chain disabled (vgc 0): subround peels 0 only; no message to 4 yet.
-    assert(out.outHits(1).isEmpty && out.outDecs(1).isEmpty)
+    assert(out.hits.isEmpty && out.decs.isEmpty)
     // Advance: peel 1,2,3 over subsequent subrounds; 3's neighbor 4 is remote.
     var sub = 2
     var hits = Seq.empty[Int]
     var decs = Seq.empty[Int]
     while (st.frontier.nonEmpty) {
       val o = SubroundProcessor.process(st, emptyIn(1, roundStart = false, sub), cfg)
-      hits ++= o.outHits(1).toSeq
-      decs ++= o.outDecs(1).toSeq
+      hits ++= o.hits.toSeq
+      decs ++= o.decs.toSeq
       sub += 1
     }
     assert(hits == Seq(4))
@@ -155,7 +189,7 @@ class ProcessorSpec extends AnyFunSuite {
     st.deg(j5) = 99 // stale estimate
     // Neighbor 4 was peeled remotely (bit arrives in the delta); k=0 keeps
     // the vertex above the frontier so only the recount happens.
-    val in = emptyIn(0, roundStart = false).copy(peeledDelta = Array(4))
+    val in = inOf(0, roundStart = false, sent(peeled = Array(4)))
     SubroundProcessor.process(st, in, KCoreConfig.ours)
     assert(st.deg(j5) == 1) // only neighbor 6 still active
     assert(st.mode(j5) == 0)
@@ -185,7 +219,7 @@ class ProcessorSpec extends AnyFunSuite {
 
   test("peeled-bitmap delta is applied before anything else") {
     val st = mkState(KCoreConfig.plain, 1)
-    val in = emptyIn(0, roundStart = false).copy(peeledDelta = Array(0, 1, 2))
+    val in = inOf(0, roundStart = false, sent(peeled = Array(0, 1, 2)))
     SubroundProcessor.process(st, in, KCoreConfig.plain)
     assert(st.isPeeledBit(1) && st.isPeeledBit(2) && !st.isPeeledBit(3))
   }
