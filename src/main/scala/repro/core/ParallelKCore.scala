@@ -18,6 +18,7 @@ object ParallelKCore {
 
   /** Distributed CSR build from a canonical symmetric edge DataFrame. */
   def prepare(spark: SparkSession, edges: DataFrame, n: Int, nParts: Int = 16): GraphHandle = {
+    requirePartitions(nParts)
     val base = Csr.buildDistributed(spark, edges, n, nParts).persist(StorageLevel.MEMORY_ONLY)
     val maxDeg = base.map { g =>
       var mx = 0; var i = 0
@@ -31,8 +32,9 @@ object ParallelKCore {
     * benches to skip the DataFrame round-trip when the graph is in hand).
     */
   def prepareLocal(spark: SparkSession, g: LocalGraph, nParts: Int = 16): GraphHandle = {
+    requirePartitions(nParts)
     val parts = Csr.buildLocal(g, nParts)
-    // One PartitionGraph per Spark partition. Receivers pick out messages by
+    // One PartitionGraph per RDD partition. Receivers pick out messages by
     // vertex ownership (g.lo until g.hi), so index alignment is convenient
     // but not required.
     val base = spark.sparkContext
@@ -40,6 +42,9 @@ object ParallelKCore {
       .persist(StorageLevel.MEMORY_ONLY)
     GraphHandle(base, g.n, g.maxDegree, nParts)
   }
+
+  private def requirePartitions(nParts: Int): Unit =
+    require(nParts >= 1, s"nParts must be at least 1, got $nParts")
 
   /** Run one configuration; returns per-vertex coreness plus run metrics. */
   def run(handle: GraphHandle, cfg: KCoreConfig): (Array[Int], RunMetrics) =

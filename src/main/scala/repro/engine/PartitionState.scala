@@ -4,8 +4,9 @@ import repro.core.{FixedBuckets, Hierarchical, KCoreConfig, OneBucket, ScanAllBu
 import repro.structures.{BucketStrategy, FixedBucketsStrategy, HierarchicalStrategy, OneBucketStrategy, ScanAllStrategy}
 
 /** The mutable per-partition state of the peeling engine. One instance per
-  * Spark partition; the engine deep-copies it at the start of every subround
-  * so cached RDD contents are never mutated in place.
+  * logical partition (pid); a Spark task may host several of them. The
+  * engine deep-copies it at the start of every subround so cached RDD
+  * contents are never mutated in place.
   *
   * Arrays are indexed by local id (global − lo) except `peeled`, which is a
   * bitset over all n vertices — each partition tracks the *global* processed

@@ -54,39 +54,62 @@ final case class RunMetrics(
     restarts: Int)
 
 /** The BSP peeling engine: driver-orchestrated subrounds over an
-  * `RDD[PartitionState]`. Each subround collects every partition's output
-  * and broadcasts the whole list, unrouted, as the next subround's input.
-  * See DESIGN.md §5 for the full protocol.
+  * `RDD[PartitionState]`. Each subround is one Spark job; it collects every
+  * partition's output and broadcasts the whole list, unrouted, as the next
+  * subround's input. See DESIGN.md §5 for the full protocol.
+  *
+  * The `nParts` logical partitions define the algorithm: vertex ownership,
+  * the RNG streams and every counter. They are hosted by
+  * `min(nParts, defaultParallelism)` Spark tasks, each running the kernel on
+  * its states in turn, so a subround is one wave of tasks. The task count
+  * changes no result.
   */
 object PeelEngine {
 
   /** Subrounds between `localCheckpoint`s, which bound the state's lineage. */
   private val CheckpointEvery = 16
 
+  /** The local property that `SparkContext.setJobDescription` sets. */
+  private val JobDescription = "spark.job.description"
+
   /** Run k-core under `cfg` over a cached base graph. Restarts without
     * sampling if a recount detects a missed peel (never observed with the
     * default μ — exercised in tests by forcing a tiny μ). `wallMillis`
     * covers every attempt.
     */
-  def run(base: RDD[PartitionGraph], n: Int, maxDeg: Int, cfg: KCoreConfig): (Array[Int], RunMetrics) = {
+  def run(base: RDD[PartitionGraph], n: Int, maxDeg: Int, cfg: KCoreConfig): (Array[Int], RunMetrics) =
+    run(base, n, maxDeg, cfg, math.min(base.getNumPartitions, base.sparkContext.defaultParallelism))
+
+  /** As above, with the partitions hosted by `tasks` Spark tasks (tests vary
+    * it to show that the grouping changes no counter). Every engine job is
+    * labelled `kcore <algo> init|k=<k> sub=<s>|gather`; the caller's job
+    * description is restored afterwards.
+    */
+  private[engine] def run(base: RDD[PartitionGraph], n: Int, maxDeg: Int, cfg: KCoreConfig,
+                          tasks: Int): (Array[Int], RunMetrics) = {
+    val sc = base.sparkContext
+    val callerDescription = sc.getLocalProperty(JobDescription)
+    val hosted = base.coalesce(tasks)
     val t0 = System.nanoTime()
     @tailrec def attempt(cfg: KCoreConfig, restarts: Int): (Array[Int], RunMetrics) =
-      (try Right(runOnce(base, n, maxDeg, cfg)) catch { case e: SamplingError => Left(e) }) match {
+      (try Right(runOnce(hosted, n, maxDeg, cfg)) catch { case e: SamplingError => Left(e) }) match {
         case Right((core, m)) =>
           (core, m.copy(wallMillis = (System.nanoTime() - t0) / 1e6, restarts = restarts))
         case Left(e) =>
           require(cfg.sampling.isDefined, s"sampling error without sampling: ${e.getMessage}")
           attempt(cfg.withoutSampling, restarts + 1)
       }
-    attempt(cfg, 0)
+    try attempt(cfg, 0) finally sc.setJobDescription(callerDescription)
   }
 
   /** One attempt; its metrics carry no wall time and no restarts. */
   private def runOnce(base: RDD[PartitionGraph], n: Int, maxDeg: Int,
                       cfg: KCoreConfig): (Array[Int], RunMetrics) = {
     val sc = base.sparkContext
+    def label(what: String): Unit = sc.setJobDescription(s"kcore ${cfg.name} $what")
 
     // --- init ---------------------------------------------------------------
+    label("init")
     val initRdd = base
       .mapPartitions(it => it.map(g => PartitionState.init(g, cfg, maxDeg)), preservesPartitioning = true)
       .persist(StorageLevel.MEMORY_ONLY)
@@ -107,6 +130,7 @@ object PeelEngine {
     var lastPair: RDD[(PartitionState, SubroundOut)] = null
     while (!done) {
       if (in.roundStart) rounds += 1
+      label(s"k=$k sub=$sub")
       val bc = sc.broadcast(in)
       val pair = state.mapPartitionsWithIndex({ (_, it) =>
         it.map { st0 =>
@@ -147,6 +171,7 @@ object PeelEngine {
     }
 
     // --- collect result -----------------------------------------------------
+    label("gather")
     val core = new Array[Int](n)
     lastPair.map(_._1).flatMap { st =>
       st.core.indices.iterator.map(i => (st.g.lo + i, st.core(i)))

@@ -1,5 +1,6 @@
 package repro.engine
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
@@ -14,15 +15,20 @@ import repro.seq.SeqKCore
   */
 class EngineSpec extends SparkSpec {
 
-  private def check(g: LocalGraph, cfg: KCoreConfig, nParts: Int = 4): RunMetrics = {
+  /** `tasks`: the Spark tasks hosting the partitions; derived when None. */
+  private def check(g: LocalGraph, cfg: KCoreConfig, nParts: Int = 4, tasks: Option[Int] = None): RunMetrics = {
     val handle = ParallelKCore.prepareLocal(spark, g, nParts)
     try {
-      val (core, metrics) = ParallelKCore.run(handle, cfg)
+      val (core, metrics) = tasks.fold(ParallelKCore.run(handle, cfg))(runHosted(handle, cfg, _))
       val expected = SeqKCore.bz(g)
       assert(core.toSeq == expected.toSeq, s"${cfg.name} wrong coreness")
       metrics
     } finally handle.unpersist()
   }
+
+  /** `ParallelKCore.run` with the hosting task count chosen by the test. */
+  private def runHosted(h: GraphHandle, cfg: KCoreConfig, tasks: Int): (Array[Int], RunMetrics) =
+    PeelEngine.run(h.base, h.n, h.maxDeg, cfg.copy(nParts = h.nParts), tasks)
 
   private val graphs: Seq[(String, LocalGraph)] = Seq(
     "figure1" -> TestGraphs.figure1,
@@ -130,13 +136,18 @@ class EngineSpec extends SparkSpec {
 
   // The sampling combos on a hub graph where sample mode engages without a
   // restart, so the pinned counters cover hits and the sampler directory.
+  // At nParts 7 the partitions are also hosted by 1 and 3 tasks (7 = 3 + 2 + 2),
+  // which must not move a counter.
   for (cfg <- KCoreConfig.combos.filter(c => c.name == "Sample" || c.name == "VGC+Sample"); nParts <- Seq(4, 7)) {
     test(s"combo ${cfg.name} samples on hubby at nParts $nParts") {
-      val m = check(TestGraphs.hubby(1500, 3, 0.3, 6),
-        cfg.copy(sampling = Some(SamplingParams(threshold = 100))), nParts)
-      assert(m.restarts == 0)
-      assert(m.maxSampled > 0)
-      assert(fingerprint(m) == expectedHubFingerprints((cfg.name, nParts)))
+      val hosting = if (nParts == 7) Seq(None, Some(1), Some(3)) else Seq(None)
+      for (tasks <- hosting) {
+        val m = check(TestGraphs.hubby(1500, 3, 0.3, 6),
+          cfg.copy(sampling = Some(SamplingParams(threshold = 100))), nParts, tasks)
+        assert(m.restarts == 0, s"tasks $tasks")
+        assert(m.maxSampled > 0, s"tasks $tasks")
+        assert(fingerprint(m) == expectedHubFingerprints((cfg.name, nParts)), s"tasks $tasks")
+      }
     }
   }
 
@@ -158,11 +169,50 @@ class EngineSpec extends SparkSpec {
     val h = ParallelKCore.prepareLocal(spark, g, 4)
     try {
       val (c1, m1) = ParallelKCore.run(h, KCoreConfig.ours)
-      val (c2, m2) = ParallelKCore.run(h, KCoreConfig.ours)
-      assert(c1.toSeq == c2.toSeq)
-      assert(m1.subrounds == m2.subrounds)
-      assert(m1.work == m2.work)
+      for (tasks <- Seq(1, 2, 4)) {
+        val (c, m) = runHosted(h, KCoreConfig.ours, tasks)
+        assert(c.toSeq == c1.toSeq, s"tasks $tasks")
+        assert(fingerprint(m) == fingerprint(m1), s"tasks $tasks")
+      }
     } finally h.unpersist()
+  }
+
+  test("engine jobs are labelled with algorithm, k and subround; the caller's description is restored") {
+    val sc = spark.sparkContext
+    val group = "engine-job-labels"
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[(Int, String)]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (e.properties != null && e.properties.getProperty("spark.jobGroup.id") == group)
+          seen.add((e.jobId, e.properties.getProperty("spark.job.description")))
+    }
+    val h = ParallelKCore.prepareLocal(spark, TestGraphs.grid(8, 8), 4)
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "caller", interruptOnCancel = false)
+      val (_, m) = ParallelKCore.run(h, KCoreConfig.julienne)
+      assert(sc.getLocalProperty("spark.job.description") == "caller")
+      val deadline = System.nanoTime() + 10L * 1000 * 1000 * 1000
+      while (seen.size < m.subrounds + 2 && System.nanoTime() < deadline) Thread.sleep(10)
+      val labels = seen.toArray(Array.empty[(Int, String)]).sortBy(_._1).map(_._2).toSeq
+      assert(labels.length == m.subrounds + 2, labels)
+      assert(labels.head == "kcore Julienne init")
+      assert(labels.last == "kcore Julienne gather")
+      val Sub = "kcore Julienne k=(\\d+) sub=(\\d+)".r
+      val ks = labels.slice(1, labels.length - 1).zipWithIndex.map {
+        case (Sub(k, s), i) if s.toInt == i => k.toInt
+        case (l, i) => fail(s"subround $i labelled '$l'")
+      }
+      assert(ks.head == 0 && ks == ks.sorted && ks.distinct.length == m.rounds, ks)
+
+      sc.clearJobGroup()
+      ParallelKCore.run(h, KCoreConfig.julienne)
+      assert(sc.getLocalProperty("spark.job.description") == null)
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+      h.unpersist()
+    }
   }
 
   // ---- sampling-specific behaviour ----------------------------------------
@@ -299,6 +349,18 @@ class EngineSpec extends SparkSpec {
     val got = out.collect().map(r => r.getInt(0) -> r.getInt(1)).toMap
     val expected = SeqKCore.bz(g)
     (0 until g.n).foreach(v => assert(got(v) == expected(v), s"vertex $v"))
+  }
+
+  test("prepare, prepareLocal and runDF reject nParts < 1 and name the value") {
+    val g = TestGraphs.random(40, 120, 4)
+    val df = repro.graph.GraphOps.toDF(spark, g)
+    for (bad <- Seq(0, -3)) {
+      val errors = Seq(
+        intercept[IllegalArgumentException](ParallelKCore.prepareLocal(spark, g, bad)),
+        intercept[IllegalArgumentException](ParallelKCore.prepare(spark, df, g.n, bad)),
+        intercept[IllegalArgumentException](ParallelKCore.runDF(spark, df, g.n, KCoreConfig.ours.copy(nParts = bad))))
+      errors.foreach(e => assert(e.getMessage.contains(s"nParts must be at least 1, got $bad"), e.getMessage))
+    }
   }
 
   test("runDF rejects a vertex id outside [0, n) and names the edge") {
