@@ -192,8 +192,9 @@ class EngineSpec extends SparkSpec {
       sc.setJobGroup(group, "caller", interruptOnCancel = false)
       val (_, m) = ParallelKCore.run(h, KCoreConfig.julienne)
       assert(sc.getLocalProperty("spark.job.description") == "caller")
-      val deadline = System.nanoTime() + 10L * 1000 * 1000 * 1000
-      while (seen.size < m.subrounds + 2 && System.nanoTime() < deadline) Thread.sleep(10)
+      // Listener events arrive asynchronously.
+      val deadline = System.currentTimeMillis() + 10000
+      while (seen.size < m.subrounds + 2 && System.currentTimeMillis() < deadline) Thread.sleep(10)
       val labels = seen.toArray(Array.empty[(Int, String)]).sortBy(_._1).map(_._2).toSeq
       assert(labels.length == m.subrounds + 2, labels)
       assert(labels.head == "kcore Julienne init")
