@@ -15,14 +15,16 @@ case object Offline extends PeelMode
 sealed trait BucketChoice extends Serializable
 case object ScanAllBuckets extends BucketChoice               // ParK/PKC: no active set
 case object OneBucket extends BucketChoice                    // Alg. 1: packed active set
-final case class FixedBuckets(b: Int) extends BucketChoice    // Julienne: b buckets
-final case class Hierarchical(theta: Int) extends BucketChoice // §5.3 final design
+case object FixedBuckets extends BucketChoice                 // Julienne: 16 buckets
+case object Hierarchical extends BucketChoice                 // §5.3 final design, θ = Theta
 
 /** Full configuration of a parallel k-core run.
   *
   * @param vgcQueue  local-search queue capacity (paper §4.2): 0 disables VGC,
   *                  128 is the paper's default, Int.MaxValue emulates PKC's
   *                  unbounded thread-local buffers.
+  * @param nParts    logical partitions of the CSR that `runDF` builds; `run`
+  *                  takes them from its `GraphHandle` and ignores this field.
   */
 final case class KCoreConfig(
     name: String,
@@ -37,17 +39,18 @@ final case class KCoreConfig(
 
 object KCoreConfig {
   val VgcDefault = 128
+  /** θ of `Hierarchical`: HBS takes over from one bucket at the θ-core. */
   val Theta = 16
 
   /** The paper's final algorithm: online + sampling + VGC + HBS. */
   def ours: KCoreConfig =
-    KCoreConfig("Ours", Online, VgcDefault, Some(SamplingParams()), Hierarchical(Theta))
+    KCoreConfig("Ours", Online, VgcDefault, Some(SamplingParams()), Hierarchical)
 
   /** The plain framework (Alg. 1 + online peel, no techniques, one bucket). */
   def plain: KCoreConfig = KCoreConfig("Plain")
 
   /** Julienne baseline: offline histogram peeling, 16 fixed buckets. */
-  def julienne: KCoreConfig = KCoreConfig("Julienne", Offline, 0, None, FixedBuckets(16))
+  def julienne: KCoreConfig = KCoreConfig("Julienne", Offline, 0, None, FixedBuckets)
 
   /** ParK baseline: online, no active set, no VGC/sampling. */
   def park: KCoreConfig = KCoreConfig("ParK", Online, 0, None, ScanAllBuckets)
@@ -63,7 +66,7 @@ object KCoreConfig {
     for {
       (vgc, vn) <- Seq((0, ""), (VgcDefault, "VGC"))
       (smp, sn) <- Seq((None: Option[SamplingParams], ""), (Some(SamplingParams()), "Sample"))
-      (bkt, bn) <- Seq((OneBucket: BucketChoice, ""), (Hierarchical(Theta): BucketChoice, "HBS"))
+      (bkt, bn) <- Seq((OneBucket: BucketChoice, ""), (Hierarchical: BucketChoice, "HBS"))
     } yield {
       val parts = Seq(vn, sn, bn).filter(_.nonEmpty)
       val nm =

@@ -48,7 +48,7 @@ object ParallelKCore {
 
   /** Run one configuration; returns per-vertex coreness plus run metrics. */
   def run(handle: GraphHandle, cfg: KCoreConfig): (Array[Int], RunMetrics) =
-    PeelEngine.run(handle.base, handle.n, handle.maxDeg, cfg.copy(nParts = handle.nParts))
+    PeelEngine.run(handle.base, handle.n, handle.maxDeg, cfg)
 
   /** DataFrame-in / DataFrame-out surface: takes a (possibly raw) edge list,
     * canonicalizes it through Catalyst, runs the decomposition, and returns

@@ -10,8 +10,9 @@ import repro.structures.{BucketStrategy, FixedBucketsStrategy, HierarchicalStrat
   *
   * Arrays are indexed by local id (global − lo) except `peeled`, which is a
   * bitset over all n vertices — each partition tracks the *global* processed
-  * set (updated from broadcast deltas) so exact recounts of sampled vertices
-  * can scan their adjacency locally.
+  * set (updated from every partition's newly peeled vertices in each
+  * subround's input) so exact recounts of sampled vertices can scan their
+  * adjacency locally.
   */
 final class PartitionState(
     val g: PartitionGraph,
@@ -58,8 +59,8 @@ object PartitionState {
     val strategy: BucketStrategy = cfg.buckets match {
       case ScanAllBuckets => new ScanAllStrategy
       case OneBucket => new OneBucketStrategy
-      case FixedBuckets(b) => new FixedBucketsStrategy(b)
-      case Hierarchical(theta) => new HierarchicalStrategy(theta, maxDegGlobal)
+      case FixedBuckets => new FixedBucketsStrategy
+      case Hierarchical => new HierarchicalStrategy(KCoreConfig.Theta, maxDegGlobal)
     }
     val owned = Array.tabulate(nOwned)(i => g.lo + i)
     strategy.init(owned, v => deg(v - g.lo))

@@ -1,7 +1,6 @@
 package repro.engine
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.storage.StorageLevel
 import repro.core.KCoreConfig
 import scala.annotation.tailrec
 
@@ -53,10 +52,11 @@ final case class RunMetrics(
     maxSampled: Int,
     restarts: Int)
 
-/** The BSP peeling engine: driver-orchestrated subrounds over an
-  * `RDD[PartitionState]`. Each subround is one Spark job; it collects every
-  * partition's output and broadcasts the whole list, unrouted, as the next
-  * subround's input. See DESIGN.md §5 for the full protocol.
+/** The BSP peeling engine: driver-orchestrated subrounds, each one Spark job
+  * over an `RDD[(PartitionState, SubroundOut)]` that is `localCheckpoint`ed
+  * (the init job too), so the lineage is one step deep. The driver collects
+  * every partition's output and passes the whole list, unrouted, to the next
+  * step in its task closure. See DESIGN.md §5 for the full protocol.
   *
   * The `nParts` logical partitions define the algorithm: vertex ownership,
   * the RNG streams and every counter. They are hosted by
@@ -65,9 +65,6 @@ final case class RunMetrics(
   * changes no result.
   */
 object PeelEngine {
-
-  /** Subrounds between `localCheckpoint`s, which bound the state's lineage. */
-  private val CheckpointEvery = 16
 
   /** The local property that `SparkContext.setJobDescription` sets. */
   private val JobDescription = "spark.job.description"
@@ -102,24 +99,35 @@ object PeelEngine {
     try attempt(cfg, 0) finally sc.setJobDescription(callerDescription)
   }
 
+  /** One subround over the states of `prev`, uncached. Each state is
+    * deep-copied first, so `prev`'s cached blocks are never mutated and a
+    * re-executed task sees the same input.
+    */
+  private[engine] def step(prev: RDD[(PartitionState, SubroundOut)], in: SubroundIn,
+                           cfg: KCoreConfig): RDD[(PartitionState, SubroundOut)] =
+    prev.mapPartitions(_.map { case (st0, _) =>
+      val st = st0.deepCopy()
+      (st, SubroundProcessor.process(st, in, cfg))
+    }, preservesPartitioning = true)
+
   /** One attempt; its metrics carry no wall time and no restarts. */
   private def runOnce(base: RDD[PartitionGraph], n: Int, maxDeg: Int,
                       cfg: KCoreConfig): (Array[Int], RunMetrics) = {
     val sc = base.sparkContext
     def label(what: String): Unit = sc.setJobDescription(s"kcore ${cfg.name} $what")
+    // Checkpoints the step as its collect runs: no extra job.
+    def outputs(r: RDD[(PartitionState, SubroundOut)]): Array[SubroundOut] =
+      r.localCheckpoint().map(_._2).collect().sortBy(_.pid)
 
     // --- init ---------------------------------------------------------------
     label("init")
-    val initRdd = base
-      .mapPartitions(it => it.map(g => PartitionState.init(g, cfg, maxDeg)), preservesPartitioning = true)
-      .persist(StorageLevel.MEMORY_ONLY)
-    var state: RDD[PartitionState] = initRdd.map(_._1)
-    var prevCached: RDD[_] = initRdd
-    var in = SubroundIn(0, roundStart = true, 0, initRdd.map(_._2).collect().sortBy(_.pid))
+    var cur = base.mapPartitions(_.map(g => PartitionState.init(g, cfg, maxDeg)), preservesPartitioning = true)
+    var outs = outputs(cur)
 
     // --- metrics accumulators ----------------------------------------------
     var k = 0
     var sub = 0
+    var roundStart = true
     var rounds = 0
     var rhoPrime = 0
     var total = SubCounters.Zero
@@ -127,26 +135,13 @@ object PeelEngine {
     var maxSampled = 0
 
     var done = false
-    var lastPair: RDD[(PartitionState, SubroundOut)] = null
     while (!done) {
-      if (in.roundStart) rounds += 1
+      if (roundStart) rounds += 1
       label(s"k=$k sub=$sub")
-      val bc = sc.broadcast(in)
-      val pair = state.mapPartitionsWithIndex({ (_, it) =>
-        it.map { st0 =>
-          val st = st0.deepCopy()
-          val out = SubroundProcessor.process(st, bc.value, cfg)
-          (st, out)
-        }
-      }, preservesPartitioning = true)
-      if (sub % CheckpointEvery == CheckpointEvery - 1) pair.localCheckpoint()
-      else pair.persist(StorageLevel.MEMORY_ONLY)
-      val outs = pair.map(_._2).collect().sortBy(_.pid)
-      bc.unpersist(false)
-      prevCached.unpersist(false)
-      prevCached = pair
-      lastPair = pair
-      state = pair.map(_._1)
+      val prev = cur
+      cur = step(prev, SubroundIn(k, roundStart, sub, outs), cfg)
+      outs = outputs(cur)
+      prev.unpersist(false) // only now: a retried task of `cur` reads `prev`
       sub += 1
 
       // --- aggregate --------------------------------------------------------
@@ -162,21 +157,18 @@ object PeelEngine {
       // A round ends when no partition has work or messages pending; the
       // next round's input is these outputs, which then carry no messages.
       val noMsgs = outs.forall(o => o.decs.isEmpty && o.hits.isEmpty)
-      val roundEnds = c.localFrontierSize == 0 && noMsgs && c.pendingRecounts == 0
-      if (roundEnds && c.peeledOwnedTotal >= n) done = true
-      else {
-        if (roundEnds) k += 1
-        in = SubroundIn(k, roundEnds, sub, outs)
-      }
+      roundStart = c.localFrontierSize == 0 && noMsgs && c.pendingRecounts == 0
+      if (roundStart && c.peeledOwnedTotal >= n) done = true
+      else if (roundStart) k += 1
     }
 
     // --- collect result -----------------------------------------------------
     label("gather")
     val core = new Array[Int](n)
-    lastPair.map(_._1).flatMap { st =>
+    cur.flatMap { case (st, _) =>
       st.core.indices.iterator.map(i => (st.g.lo + i, st.core(i)))
     }.collect().foreach { case (v, c) => core(v) = c }
-    prevCached.unpersist(false)
+    cur.unpersist(false)
 
     val metrics = RunMetrics(cfg.name, 0, rounds, sub, rhoPrime, total.work, total.edgeTraversals,
       total.structOps, total.histogramOps, total.decMsgs, total.hitMsgs, total.localDecs,

@@ -155,7 +155,4 @@ object GraphSuite {
 
   def byName(name: String): GraphSpec =
     all.find(_.name == name).getOrElse(sys.error(s"unknown graph $name"))
-
-  /** A small, fast subset for smoke tests. */
-  val smokeNames: Seq[String] = Seq("CH5", "CUBE", "TRCE", "OK")
 }

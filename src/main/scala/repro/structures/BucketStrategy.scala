@@ -9,7 +9,7 @@ import scala.collection.mutable.ArrayBuilder
   *                            (no active set ⇒ O(m + kmax·n) total work).
   * - [[OneBucketStrategy]]  — Alg. 1: scan + repack the active set each round
   *                            (work-efficient, b = 1).
-  * - [[FixedBucketsStrategy]] — Julienne: rebuild b=16 buckets every b rounds,
+  * - [[FixedBucketsStrategy]] — Julienne: rebuild b = 16 buckets every b rounds,
   *                            DecreaseKey moves entries between them.
   * - [[HierarchicalStrategy]] — the paper's final design: OneBucket until the
   *                            θ-core is reached, then switch to [[Hbs]].
@@ -94,7 +94,8 @@ final class OneBucketStrategy extends BucketStrategy {
   * DecreaseKey inserts a copy into the target bucket when the new key falls
   * inside the current window. Stale copies are filtered on extraction.
   */
-final class FixedBucketsStrategy(val b: Int) extends BucketStrategy {
+final class FixedBucketsStrategy extends BucketStrategy {
+  private final val b = 16 // Julienne's bucket count
   private var active: Array[Int] = Array.emptyIntArray
   private var buckets: Array[Array[Int]] = Array.fill(b)(Array.emptyIntArray)
   private var bucketSz: Array[Int] = new Array[Int](b)
@@ -154,7 +155,7 @@ final class FixedBucketsStrategy(val b: Int) extends BucketStrategy {
 
   def ops: Long = opsCount
   def deepCopy(): BucketStrategy = {
-    val c = new FixedBucketsStrategy(b)
+    val c = new FixedBucketsStrategy
     c.active = active.clone()
     c.buckets = buckets.indices.map(i => java.util.Arrays.copyOf(buckets(i), buckets(i).length)).toArray
     c.bucketSz = bucketSz.clone()

@@ -28,7 +28,7 @@ class EngineSpec extends SparkSpec {
 
   /** `ParallelKCore.run` with the hosting task count chosen by the test. */
   private def runHosted(h: GraphHandle, cfg: KCoreConfig, tasks: Int): (Array[Int], RunMetrics) =
-    PeelEngine.run(h.base, h.n, h.maxDeg, cfg.copy(nParts = h.nParts), tasks)
+    PeelEngine.run(h.base, h.n, h.maxDeg, cfg, tasks)
 
   private val graphs: Seq[(String, LocalGraph)] = Seq(
     "figure1" -> TestGraphs.figure1,
@@ -175,6 +175,45 @@ class EngineSpec extends SparkSpec {
         assert(fingerprint(m) == fingerprint(m1), s"tasks $tasks")
       }
     } finally h.unpersist()
+  }
+
+  private def render(st: PartitionState): String =
+    Seq(st.deg.toSeq, st.core.toSeq, st.peeled.toSeq, st.mode.toSeq, st.cnt.toSeq, st.rateArr.toSeq,
+      st.frontier.toSeq, st.pendingRecount.toSeq, st.sampledOwned.toSeq, new java.util.TreeMap(st.dir),
+      st.strategy.ops, st.peeledOwnedCount).mkString(" ")
+
+  private def render(o: SubroundOut): String =
+    Seq(o.pid, o.decs.toSeq, Option(o.decCounts).map(_.toSeq), o.hits.toSeq, o.newlyPeeled.toSeq,
+      o.dirV.toSeq, o.dirRate.toSeq, o.counters, o.error).mkString(" ")
+
+  test("a re-executed subround step gives the same outputs and leaves its input unchanged") {
+    val g = TestGraphs.hubby(1500, 3, 0.3, 6)
+    val cfg = KCoreConfig.ours.copy(sampling = Some(SamplingParams(threshold = 100)))
+    val h = ParallelKCore.prepareLocal(spark, g, 4)
+    val maxDeg = h.maxDeg
+    val init = h.base.mapPartitions(_.map(PartitionState.init(_, cfg, maxDeg))).localCheckpoint()
+    try {
+      val initOuts = init.map(_._2).collect().sortBy(_.pid)
+      assert(initOuts.exists(_.dirV.nonEmpty), "expected sampled hubs")
+      val before = init.map(_._1).collect().toSeq.map(render)
+      // Round k = min degree, so the step peels vertices and mutates the
+      // states it computes from.
+      val k = (0 until g.n).map(g.degree).min
+      // Uncached: each collect runs the step again against the same cached
+      // input blocks, as a retried or recomputed task would.
+      val next = PeelEngine.step(init, SubroundIn(k, roundStart = true, 0, initOuts), cfg)
+      val first = next.collect()
+      val second = next.collect()
+      assert(first.iterator.map(_._2.counters.frontierProcessed).sum > 0)
+      def rendered(r: Array[(PartitionState, SubroundOut)]) = r.toSeq.map { case (st, o) => (render(st), render(o)) }
+      val same = rendered(first) == rendered(second)
+      assert(same, "the re-executed step gave other states, outputs or counters")
+      val unchanged = init.map(_._1).collect().toSeq.map(render) == before
+      assert(unchanged, "the step mutated its cached input states")
+    } finally {
+      init.unpersist(false)
+      h.unpersist()
+    }
   }
 
   test("engine jobs are labelled with algorithm, k and subround; the caller's description is restored") {

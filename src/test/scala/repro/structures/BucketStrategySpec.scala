@@ -10,7 +10,7 @@ class BucketStrategySpec extends AnyFunSuite {
   private def mkStrategy(name: String, maxDeg: Int): BucketStrategy = name match {
     case "scanAll" => new ScanAllStrategy
     case "one" => new OneBucketStrategy
-    case "fixed" => new FixedBucketsStrategy(16)
+    case "fixed" => new FixedBucketsStrategy
     case "hier" => new HierarchicalStrategy(4, maxDeg) // low θ so HBS engages
   }
 
