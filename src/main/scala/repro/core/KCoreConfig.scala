@@ -33,9 +33,7 @@ final case class KCoreConfig(
     sampling: Option[SamplingParams] = None,
     buckets: BucketChoice = OneBucket,
     nParts: Int = 16,
-    seed: Long = 42L) extends Serializable {
-  def withoutSampling: KCoreConfig = copy(sampling = None)
-}
+    seed: Long = 42L) extends Serializable
 
 object KCoreConfig {
   val VgcDefault = 128

@@ -9,23 +9,18 @@ import repro.graph.{GraphOps, LocalGraph}
 /** A prepared (distributed, cached) graph that several configurations can
   * share — benches run 12 algorithms per graph over one CSR build.
   */
-final case class GraphHandle(base: RDD[PartitionGraph], n: Int, maxDeg: Int, nParts: Int) {
+final case class GraphHandle(base: RDD[PartitionGraph], n: Int, nParts: Int) {
   def unpersist(): Unit = base.unpersist(false)
 }
 
 /** Public API of the parallel k-core decomposition. */
 object ParallelKCore {
 
-  /** Distributed CSR build from a canonical symmetric edge DataFrame. */
+  /** Lazy distributed CSR build from a canonical symmetric edge DataFrame. */
   def prepare(spark: SparkSession, edges: DataFrame, n: Int, nParts: Int = 16): GraphHandle = {
     requirePartitions(nParts)
     val base = Csr.buildDistributed(spark, edges, n, nParts).persist(StorageLevel.MEMORY_ONLY)
-    val maxDeg = base.map { g =>
-      var mx = 0; var i = 0
-      while (i < g.nOwned) { val d = g.degreeLocal(i); if (d > mx) mx = d; i += 1 }
-      mx
-    }.fold(0)(math.max)
-    GraphHandle(base, n, maxDeg, nParts)
+    GraphHandle(base, n, nParts)
   }
 
   /** Driver-side split of an already-canonical LocalGraph (used by tests and
@@ -40,7 +35,7 @@ object ParallelKCore {
     val base = spark.sparkContext
       .parallelize(parts.toIndexedSeq, nParts)
       .persist(StorageLevel.MEMORY_ONLY)
-    GraphHandle(base, g.n, g.maxDegree, nParts)
+    GraphHandle(base, g.n, nParts)
   }
 
   private def requirePartitions(nParts: Int): Unit =
@@ -48,7 +43,7 @@ object ParallelKCore {
 
   /** Run one configuration; returns per-vertex coreness plus run metrics. */
   def run(handle: GraphHandle, cfg: KCoreConfig): (Array[Int], RunMetrics) =
-    PeelEngine.run(handle.base, handle.n, handle.maxDeg, cfg)
+    PeelEngine.run(handle.base, handle.n, cfg)
 
   /** DataFrame-in / DataFrame-out surface: takes a (possibly raw) edge list,
     * canonicalizes it through Catalyst, runs the decomposition, and returns

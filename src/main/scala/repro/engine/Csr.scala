@@ -9,7 +9,7 @@ import repro.graph.LocalGraph
   * vertex range [lo, hi). Neighbor ids are global.
   */
 final case class PartitionGraph(
-    pid: Int, nParts: Int, n: Int, lo: Int, hi: Int,
+    pid: Int, n: Int, lo: Int, hi: Int,
     indptr: Array[Int], adj: Array[Int]) extends Serializable {
 
   def nOwned: Int = hi - lo
@@ -76,7 +76,7 @@ object Csr {
         }
         var v = 0
         while (v < hi - lo) { indptr(v + 1) += indptr(v); v += 1 }
-        Iterator.single(PartitionGraph(pid, nParts, n, lo, hi, indptr, adj))
+        Iterator.single(PartitionGraph(pid, n, lo, hi, indptr, adj))
       }, preservesPartitioning = true)
   }
 
@@ -96,7 +96,7 @@ object Csr {
         System.arraycopy(g.adj, g.indptr(v), adj, indptr(v - lo), g.degree(v))
         v += 1
       }
-      PartitionGraph(pid, nParts, g.n, lo, hi, indptr, adj)
+      PartitionGraph(pid, g.n, lo, hi, indptr, adj)
     }
   }
 }

@@ -1,8 +1,8 @@
 package repro.engine
 
-/** Input of one subround, shipped in the step's task closure: every
-  * partition's output of the previous subround, in pid order (the init
-  * job's outputs for the first subround). Every partition applies every output's peeled vertices and
+/** Input of one subround (the Spark exchange ships it in the step's task
+  * closure): every partition's output of the previous subround, in pid
+  * order (the init outputs for the first subround). Every partition applies every output's peeled vertices and
   * sampler-directory changes, and the messages whose target it owns. The
   * directory is replicated so *senders* can decide dec-vs-hit, mirroring
   * the shared-memory read of σ[u].

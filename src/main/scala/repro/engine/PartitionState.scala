@@ -5,8 +5,8 @@ import repro.structures.{BucketStrategy, FixedBucketsStrategy, HierarchicalStrat
 
 /** The mutable per-partition state of the peeling engine. One instance per
   * logical partition (pid); a Spark task may host several of them. The
-  * engine deep-copies it at the start of every subround so cached RDD
-  * contents are never mutated in place.
+  * Spark exchange deep-copies it at the start of every subround so cached
+  * RDD contents are never mutated in place.
   *
   * Arrays are indexed by local id (global − lo) except `peeled`, which is a
   * bitset over all n vertices — each partition tracks the *global* processed
@@ -48,7 +48,7 @@ object PartitionState {
     * output that carries this partition's initial sampler-directory entries
     * (vertices put into sample mode at k = 0), the first subround's input.
     */
-  def init(g: PartitionGraph, cfg: KCoreConfig, maxDegGlobal: Int): (PartitionState, SubroundOut) = {
+  def init(g: PartitionGraph, cfg: KCoreConfig): (PartitionState, SubroundOut) = {
     val nOwned = g.nOwned
     val deg = Array.tabulate(nOwned)(g.degreeLocal)
     val core = Array.fill(nOwned)(-1)
@@ -60,7 +60,7 @@ object PartitionState {
       case ScanAllBuckets => new ScanAllStrategy
       case OneBucket => new OneBucketStrategy
       case FixedBuckets => new FixedBucketsStrategy
-      case Hierarchical => new HierarchicalStrategy(KCoreConfig.Theta, maxDegGlobal)
+      case Hierarchical => new HierarchicalStrategy(KCoreConfig.Theta)
     }
     val owned = Array.tabulate(nOwned)(i => g.lo + i)
     strategy.init(owned, v => deg(v - g.lo))

@@ -4,11 +4,6 @@ import org.apache.spark.rdd.RDD
 import repro.core.KCoreConfig
 import scala.annotation.tailrec
 
-/** Raised when a sampled vertex's exact recount shows it missed its peeling
-  * round (paper §4.1.4) — the caller restarts with sampling disabled.
-  */
-final class SamplingError(msg: String) extends RuntimeException(msg)
-
 /** Weights used when folding counters into the modeled critical path. */
 object CostWeights {
   /** Unit-ops charged per serialized atomic update at a contended vertex.
@@ -52,77 +47,64 @@ final case class RunMetrics(
     maxSampled: Int,
     restarts: Int)
 
-/** The BSP peeling engine: driver-orchestrated subrounds, each one Spark job
-  * over an `RDD[(PartitionState, SubroundOut)]` that is `localCheckpoint`ed
-  * (the init job too), so the lineage is one step deep. The driver collects
-  * every partition's output and passes the whole list, unrouted, to the next
-  * step in its task closure. See DESIGN.md §5 for the full protocol.
+/** The peel loop's only contact with the partitions: it builds their
+  * states, runs one subround on all of them, and gathers the coreness.
+  * Outputs come in pid order. One exchange serves one attempt.
+  */
+private[engine] trait Exchange {
+  /** Fresh states; the outputs carry the k = 0 sampler-directory entries. */
+  def init(): Array[SubroundOut]
+  def step(in: SubroundIn): Array[SubroundOut]
+  /** Coreness of every vertex, from the states of the last step. */
+  def gather(): Array[Int]
+}
+
+/** The BSP peeling engine (paper Alg. 1): rounds of subrounds over the
+  * `nParts` logical partitions. The loop here advances k, sums the counters
+  * and restarts a run that missed a peel; it reaches the partitions only
+  * through an [[Exchange]], once per subround (the ω of the burdened span).
+  * The production exchange is [[SparkExchange]], one Spark job per call.
+  * See DESIGN.md §5 for the full protocol.
   *
-  * The `nParts` logical partitions define the algorithm: vertex ownership,
-  * the RNG streams and every counter. They are hosted by
-  * `min(nParts, defaultParallelism)` Spark tasks, each running the kernel on
-  * its states in turn, so a subround is one wave of tasks. The task count
-  * changes no result.
+  * The logical partitions define the algorithm: vertex ownership, the RNG
+  * streams and every counter. How an exchange hosts them changes no result.
   */
 object PeelEngine {
 
-  /** The local property that `SparkContext.setJobDescription` sets. */
-  private val JobDescription = "spark.job.description"
-
-  /** Run k-core under `cfg` over a cached base graph. Restarts without
-    * sampling if a recount detects a missed peel (never observed with the
-    * default μ — exercised in tests by forcing a tiny μ). `wallMillis`
-    * covers every attempt.
+  /** Run k-core under `cfg` over a cached base graph, its partitions hosted
+    * by `min(nParts, defaultParallelism)` Spark tasks, so a subround is one
+    * wave of tasks. Every engine job is labelled `kcore <algo> init|k=<k>
+    * sub=<s>|gather`; the caller's job description is restored afterwards.
     */
-  def run(base: RDD[PartitionGraph], n: Int, maxDeg: Int, cfg: KCoreConfig): (Array[Int], RunMetrics) =
-    run(base, n, maxDeg, cfg, math.min(base.getNumPartitions, base.sparkContext.defaultParallelism))
-
-  /** As above, with the partitions hosted by `tasks` Spark tasks (tests vary
-    * it to show that the grouping changes no counter). Every engine job is
-    * labelled `kcore <algo> init|k=<k> sub=<s>|gather`; the caller's job
-    * description is restored afterwards.
-    */
-  private[engine] def run(base: RDD[PartitionGraph], n: Int, maxDeg: Int, cfg: KCoreConfig,
-                          tasks: Int): (Array[Int], RunMetrics) = {
+  def run(base: RDD[PartitionGraph], n: Int, cfg: KCoreConfig): (Array[Int], RunMetrics) = {
     val sc = base.sparkContext
-    val callerDescription = sc.getLocalProperty(JobDescription)
-    val hosted = base.coalesce(tasks)
-    val t0 = System.nanoTime()
-    @tailrec def attempt(cfg: KCoreConfig, restarts: Int): (Array[Int], RunMetrics) =
-      (try Right(runOnce(hosted, n, maxDeg, cfg)) catch { case e: SamplingError => Left(e) }) match {
-        case Right((core, m)) =>
-          (core, m.copy(wallMillis = (System.nanoTime() - t0) / 1e6, restarts = restarts))
-        case Left(e) =>
-          require(cfg.sampling.isDefined, s"sampling error without sampling: ${e.getMessage}")
-          attempt(cfg.withoutSampling, restarts + 1)
-      }
-    try attempt(cfg, 0) finally sc.setJobDescription(callerDescription)
+    val callerDescription = sc.getLocalProperty("spark.job.description") // what setJobDescription sets
+    val hosted = base.coalesce(math.min(base.getNumPartitions, sc.defaultParallelism))
+    try run(n, cfg, new SparkExchange(hosted, _)) finally sc.setJobDescription(callerDescription)
   }
 
-  /** One subround over the states of `prev`, uncached. Each state is
-    * deep-copied first, so `prev`'s cached blocks are never mutated and a
-    * re-executed task sees the same input.
+  /** Run k-core under `cfg` on the exchanges that `exchange` builds, one per
+    * attempt. Restarts without sampling if a recount detects a missed peel
+    * (never observed with the default μ — exercised in tests by forcing a
+    * tiny μ). `wallMillis` covers every attempt.
     */
-  private[engine] def step(prev: RDD[(PartitionState, SubroundOut)], in: SubroundIn,
-                           cfg: KCoreConfig): RDD[(PartitionState, SubroundOut)] =
-    prev.mapPartitions(_.map { case (st0, _) =>
-      val st = st0.deepCopy()
-      (st, SubroundProcessor.process(st, in, cfg))
-    }, preservesPartitioning = true)
+  private[engine] def run(n: Int, cfg: KCoreConfig,
+                          exchange: KCoreConfig => Exchange): (Array[Int], RunMetrics) = {
+    val t0 = System.nanoTime()
+    @tailrec def attempt(cfg: KCoreConfig, restarts: Int): (Array[Int], RunMetrics) =
+      peel(exchange(cfg), n, cfg) match {
+        case Some((core, m)) =>
+          (core, m.copy(wallMillis = (System.nanoTime() - t0) / 1e6, restarts = restarts))
+        case None => attempt(cfg.copy(sampling = None), restarts + 1)
+      }
+    attempt(cfg, 0)
+  }
 
-  /** One attempt; its metrics carry no wall time and no restarts. */
-  private def runOnce(base: RDD[PartitionGraph], n: Int, maxDeg: Int,
-                      cfg: KCoreConfig): (Array[Int], RunMetrics) = {
-    val sc = base.sparkContext
-    def label(what: String): Unit = sc.setJobDescription(s"kcore ${cfg.name} $what")
-    // Checkpoints the step as its collect runs: no extra job.
-    def outputs(r: RDD[(PartitionState, SubroundOut)]): Array[SubroundOut] =
-      r.localCheckpoint().map(_._2).collect().sortBy(_.pid)
-
-    // --- init ---------------------------------------------------------------
-    label("init")
-    var cur = base.mapPartitions(_.map(g => PartitionState.init(g, cfg, maxDeg)), preservesPartitioning = true)
-    var outs = outputs(cur)
+  /** One attempt; None if a sampled vertex missed its peeling round (paper
+    * §4.1.4). Its metrics carry no wall time and no restarts.
+    */
+  private def peel(ex: Exchange, n: Int, cfg: KCoreConfig): Option[(Array[Int], RunMetrics)] = {
+    var outs = ex.init()
 
     // --- metrics accumulators ----------------------------------------------
     var k = 0
@@ -137,11 +119,7 @@ object PeelEngine {
     var done = false
     while (!done) {
       if (roundStart) rounds += 1
-      label(s"k=$k sub=$sub")
-      val prev = cur
-      cur = step(prev, SubroundIn(k, roundStart, sub, outs), cfg)
-      outs = outputs(cur)
-      prev.unpersist(false) // only now: a retried task of `cur` reads `prev`
+      outs = ex.step(SubroundIn(k, roundStart, sub, outs))
       sub += 1
 
       // --- aggregate --------------------------------------------------------
@@ -150,8 +128,7 @@ object PeelEngine {
       spanOps += outs.iterator.map(_.counters.span).max
       if (c.frontierProcessed > 0) rhoPrime += 1
       if (c.sampledNow > maxSampled) maxSampled = c.sampledNow
-      if (outs.exists(_.error) && cfg.sampling.isDefined)
-        throw new SamplingError(s"missed peel detected at round $k subround $sub")
+      if (cfg.sampling.isDefined && outs.exists(_.error)) return None
 
       // --- advance ----------------------------------------------------------
       // A round ends when no partition has work or messages pending; the
@@ -162,17 +139,58 @@ object PeelEngine {
       else if (roundStart) k += 1
     }
 
-    // --- collect result -----------------------------------------------------
-    label("gather")
-    val core = new Array[Int](n)
-    cur.flatMap { case (st, _) =>
-      st.core.indices.iterator.map(i => (st.g.lo + i, st.core(i)))
-    }.collect().foreach { case (v, c) => core(v) = c }
-    cur.unpersist(false)
-
-    val metrics = RunMetrics(cfg.name, 0, rounds, sub, rhoPrime, total.work, total.edgeTraversals,
+    Some((ex.gather(), RunMetrics(cfg.name, 0, rounds, sub, rhoPrime, total.work, total.edgeTraversals,
       total.structOps, total.histogramOps, total.decMsgs, total.hitMsgs, total.localDecs,
-      total.inboundApplied, total.maxInboundPerVertex, spanOps, maxSampled, 0)
-    (core, metrics)
+      total.inboundApplied, total.maxInboundPerVertex, spanOps, maxSampled, 0)))
   }
+}
+
+/** Each call is one Spark job over `hosted`, whose tasks may each host
+  * several partitions (tests vary their number). A step is one
+  * `RDD[(PartitionState, SubroundOut)]` that is `localCheckpoint`ed (the init
+  * job too), so the lineage is one step deep; the subround input, every
+  * partition's previous output, rides in the step's task closure.
+  */
+private[engine] final class SparkExchange(hosted: RDD[PartitionGraph], cfg: KCoreConfig) extends Exchange {
+  private var cur: RDD[(PartitionState, SubroundOut)] = _
+
+  private def label(what: String): Unit = hosted.sparkContext.setJobDescription(s"kcore ${cfg.name} $what")
+  // Makes `r` the current step and checkpoints it as its collect runs: no extra job.
+  private def advance(what: String, r: RDD[(PartitionState, SubroundOut)]): Array[SubroundOut] = {
+    label(what)
+    cur = r
+    r.localCheckpoint().map(_._2).collect().sortBy(_.pid)
+  }
+
+  def init(): Array[SubroundOut] = {
+    val c = cfg // the task closure captures the config, not this exchange
+    advance("init", hosted.mapPartitions(_.map(PartitionState.init(_, c)), preservesPartitioning = true))
+  }
+
+  def step(in: SubroundIn): Array[SubroundOut] = {
+    val prev = cur
+    val outs = advance(s"k=${in.k} sub=${in.subroundIndex}", SparkExchange.step(prev, in, cfg))
+    prev.unpersist(false) // only now: a retried task of `cur` reads `prev`
+    outs
+  }
+
+  def gather(): Array[Int] = {
+    label("gather")
+    // The pid ranges are contiguous and cover [0, n) in pid order.
+    try cur.map { case (st, _) => (st.g.pid, st.core) }.collect().sortBy(_._1).flatMap(_._2)
+    finally cur.unpersist(false)
+  }
+}
+
+private[engine] object SparkExchange {
+  /** One subround over the states of `prev`, uncached. Each state is
+    * deep-copied first, so `prev`'s cached blocks are never mutated and a
+    * re-executed task sees the same input.
+    */
+  def step(prev: RDD[(PartitionState, SubroundOut)], in: SubroundIn,
+           cfg: KCoreConfig): RDD[(PartitionState, SubroundOut)] =
+    prev.mapPartitions(_.map { case (st0, _) =>
+      val st = st0.deepCopy()
+      (st, SubroundProcessor.process(st, in, cfg))
+    }, preservesPartitioning = true)
 }

@@ -3,9 +3,9 @@ package repro.engine
 import repro.core.{KCoreConfig, Offline, Online}
 import scala.collection.mutable.ArrayBuilder
 
-/** Executes one subround for one partition (the body of the engine's
-  * `mapPartitions`). Mutates the (already deep-copied) state in place and
-  * returns the partition's `SubroundOut`.
+/** Executes one subround for one partition (what an exchange's step runs on
+  * every state). Mutates the state in place (the Spark exchange deep-copies
+  * it first) and returns the partition's `SubroundOut`.
   *
   * Step order matters for the two-phase sampling exit protocol — see
   * DESIGN.md §5:

@@ -3,7 +3,7 @@ package repro.harness
 import org.apache.spark.sql.SparkSession
 import repro.core.{KCoreConfig, ParallelKCore}
 import repro.engine.RunMetrics
-import repro.graph.GraphSuite
+import repro.graph.{GraphSuite, LocalGraph}
 import repro.graph.GraphSuite.GraphSpec
 import repro.model.CostModel
 import repro.seq.SeqKCore
@@ -43,19 +43,26 @@ object Table2Harness {
     // edge traversal + per active-set scan entry.
     val seqWork = g.adj.length.toLong + (0 until g.n).map(v => 1L + bzCore(v)).sum
 
+    val runs = runConfigs(spark, "table2", spec.name, g, bzCore, algos, nParts, verbose)
+    Row(spec, g.n, g.m, seqRes.kmax, seqRes.rho, bzMillis, seqMillis, seqWork, runs)
+  }
+
+  /** Runs every config on one cached CSR build of `g` and checks each
+    * coreness against `bzCore`; `verbose` logs one line per run to stderr.
+    */
+  def runConfigs(spark: SparkSession, tag: String, name: String, g: LocalGraph, bzCore: Array[Int],
+                 cfgs: Seq[KCoreConfig], nParts: Int, verbose: Boolean): Seq[(String, AlgoRun)] = {
     val handle = ParallelKCore.prepareLocal(spark, g, nParts)
     handle.base.count() // materialize the cached CSR before timing anything
-    val runs = algos.map { cfg =>
+    try cfgs.map { cfg =>
       val (core, metrics) = ParallelKCore.run(handle, cfg)
       val correct = java.util.Arrays.equals(core, bzCore)
       if (verbose)
-        Console.err.println(f"[table2] ${spec.name}%-5s ${cfg.name}%-9s " +
+        Console.err.println(f"[$tag] $name%-5s ${cfg.name}%-11s " +
           f"wall=${metrics.wallMillis / 1000}%8.3fs subrounds=${metrics.subrounds}%6d " +
           f"work=${metrics.work}%12d correct=$correct")
       cfg.name -> AlgoRun(metrics, CostModel(metrics), correct)
-    }
-    handle.unpersist()
-    Row(spec, g.n, g.m, seqRes.kmax, seqRes.rho, bzMillis, seqMillis, seqWork, runs)
+    } finally handle.unpersist()
   }
 
   /** One untimed pass over every configuration on a small graph so JIT
@@ -64,10 +71,8 @@ object Table2Harness {
   def warmup(spark: SparkSession, cfgs: Seq[KCoreConfig]): Unit = {
     val el = new repro.graph.GraphGen.EdgeList
     repro.graph.GraphGen.ba(el, 3000, 5, 987)
-    val g = repro.graph.LocalGraph.fromPairs(3000, el.srcs, el.dsts)
-    val handle = ParallelKCore.prepareLocal(spark, g, 16)
-    cfgs.foreach(c => ParallelKCore.run(handle, c))
-    handle.unpersist()
+    val g = LocalGraph.fromPairs(3000, el.srcs, el.dsts)
+    runConfigs(spark, "warmup", "BA", g, SeqKCore.bz(g), cfgs, 16, verbose = false)
   }
 
   def run(spark: SparkSession, names: Seq[String] = GraphSuite.all.map(_.name),

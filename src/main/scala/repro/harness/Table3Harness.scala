@@ -2,7 +2,6 @@ package repro.harness
 
 import org.apache.spark.sql.SparkSession
 import repro.core.{KCoreConfig, ParallelKCore}
-import repro.model.CostModel
 import repro.graph.GraphSuite
 import repro.graph.GraphSuite.GraphSpec
 import repro.seq.SeqKCore
@@ -58,19 +57,7 @@ object Table3Harness {
   def runGraph(spark: SparkSession, spec: GraphSpec, nParts: Int = 16,
                verbose: Boolean = true): Row = {
     val g = spec.build()
-    val bzCore = SeqKCore.bz(g)
-    val handle = ParallelKCore.prepareLocal(spark, g, nParts)
-    handle.base.count()
-    val runs = comboConfigs.map { cfg =>
-      val (core, metrics) = ParallelKCore.run(handle, cfg)
-      val correct = java.util.Arrays.equals(core, bzCore)
-      if (verbose)
-        Console.err.println(f"[table3] ${spec.name}%-5s ${cfg.name}%-11s " +
-          f"wall=${metrics.wallMillis / 1000}%8.3fs subrounds=${metrics.subrounds}%6d correct=$correct")
-      cfg.name -> Table2Harness.AlgoRun(metrics, CostModel(metrics), correct)
-    }
-    handle.unpersist()
-    Row(spec, runs)
+    Row(spec, Table2Harness.runConfigs(spark, "table3", spec.name, g, SeqKCore.bz(g), comboConfigs, nParts, verbose))
   }
 
   def run(spark: SparkSession, names: Seq[String] = GraphSuite.all.map(_.name),

@@ -168,7 +168,7 @@ final class FixedBucketsStrategy extends BucketStrategy {
 /** The paper's final design (§5.3): one bucket while k < θ, then switch to
   * the hierarchical bucketing structure once the θ-core is reached.
   */
-final class HierarchicalStrategy(val theta: Int, val maxKey: Int) extends BucketStrategy {
+final class HierarchicalStrategy(val theta: Int) extends BucketStrategy {
   private var one = new OneBucketStrategy
   private var hbs: Hbs = null
   private var switched = false
@@ -182,7 +182,7 @@ final class HierarchicalStrategy(val theta: Int, val maxKey: Int) extends Bucket
     if (!switched && k >= theta) {
       // Build the HBS over the remaining active vertices.
       switched = true
-      hbs = new Hbs(maxKey)
+      hbs = new Hbs
       val remaining = one.active
       var i = 0
       while (i < remaining.length) {
@@ -199,7 +199,7 @@ final class HierarchicalStrategy(val theta: Int, val maxKey: Int) extends Bucket
   def ops: Long = (if (one != null) one.ops else 0L) + (if (hbs != null) hbs.opsCost else 0L)
 
   def deepCopy(): BucketStrategy = {
-    val c = new HierarchicalStrategy(theta, maxKey)
+    val c = new HierarchicalStrategy(theta)
     c.switched = switched
     c.one = if (one != null) one.deepCopy().asInstanceOf[OneBucketStrategy] else null
     c.hbs = if (hbs != null) hbs.deepCopy() else null

@@ -21,26 +21,22 @@ import scala.collection.mutable.ArrayBuilder
   * Single-threaded per engine partition; `opsCost` accumulates structure
   * operations for the cost model.
   */
-final class Hbs(val maxKey: Int) extends Serializable {
+final class Hbs extends Serializable {
 
   import Hbs._
 
-  private val nRanged = ceilLog2(math.max(1, (maxKey >> 3) + 2)) + 2
   // singles(s) holds keys ≡ s (mod 8) within the current window [k, k+8).
   private var singles: Array[Array[Long]] = Array.fill(8)(EmptyArr)
   private val singleSz: Array[Int] = new Array[Int](8)
-  private var ranged: Array[Array[Long]] = Array.fill(nRanged)(EmptyArr)
-  private val rangedSz: Array[Int] = new Array[Int](nRanged)
-  private val rangedMin: Array[Int] = Array.fill(nRanged)(Int.MaxValue)
+  private var ranged: Array[Array[Long]] = Array.fill(NRanged)(EmptyArr)
+  private val rangedSz: Array[Int] = new Array[Int](NRanged)
+  private val rangedMin: Array[Int] = Array.fill(NRanged)(Int.MaxValue)
   private var k: Int = 0
   /** Structure operations performed so far (inserts + scans), for CostModel. */
   var opsCost: Long = 0L
 
   /** Ranged bucket index for an offset d = key − k with d ≥ 8. */
-  @inline private def rangedIdx(d: Int): Int = {
-    val t = 31 - Integer.numberOfLeadingZeros(d >>> 3)
-    math.min(nRanged - 1, t)
-  }
+  @inline private def rangedIdx(d: Int): Int = 31 - Integer.numberOfLeadingZeros(d >>> 3)
 
   /** Logical bucket index of offset d = key − k: the first 8 buckets are
     * single-key, bucket 8+t covers [8·2^t, 8·2^{t+1}).
@@ -85,7 +81,7 @@ final class Hbs(val maxKey: Int) extends Serializable {
     while (again) {
       again = false
       var b = 0
-      while (b < nRanged) {
+      while (b < NRanged) {
         if (rangedSz(b) > 0 && rangedMin(b) < kRound + 8) {
           val arr = ranged(b); val sz = rangedSz(b)
           ranged(b) = EmptyArr; rangedSz(b) = 0; rangedMin(b) = Int.MaxValue
@@ -119,7 +115,7 @@ final class Hbs(val maxKey: Int) extends Serializable {
   }
 
   def deepCopy(): Hbs = {
-    val c = new Hbs(maxKey)
+    val c = new Hbs
     var i = 0
     while (i < 8) {
       c.singles(i) = if (singleSz(i) == 0) EmptyArr else java.util.Arrays.copyOf(singles(i), singleSz(i))
@@ -127,7 +123,7 @@ final class Hbs(val maxKey: Int) extends Serializable {
       i += 1
     }
     i = 0
-    while (i < nRanged) {
+    while (i < NRanged) {
       c.ranged(i) = if (rangedSz(i) == 0) EmptyArr else java.util.Arrays.copyOf(ranged(i), rangedSz(i))
       c.rangedSz(i) = rangedSz(i)
       c.rangedMin(i) = rangedMin(i)
@@ -140,11 +136,12 @@ final class Hbs(val maxKey: Int) extends Serializable {
 }
 
 object Hbs {
+  /** ⌊log2(d / 8)⌋ ≤ 27 for every offset d ≤ Int.MaxValue: no bound on the keys is needed. */
+  private final val NRanged = 28
   private val EmptyArr = new Array[Long](0)
   @inline private def pack(v: Int, key: Int): Long = (key.toLong << 32) | (v.toLong & 0xffffffffL)
   @inline private def unpackV(e: Long): Int = e.toInt
   @inline private def unpackK(e: Long): Int = (e >>> 32).toInt
-  private def ceilLog2(x: Int): Int = 32 - Integer.numberOfLeadingZeros(math.max(1, x - 1))
 
   /** Sort + dedup an int array (a vertex may have several live copies). */
   def dedupSorted(raw: Array[Int]): Array[Int] = {

@@ -1,5 +1,7 @@
 package repro
 
+import org.apache.logging.log4j.Level
+import org.apache.logging.log4j.core.config.Configurator
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -30,6 +32,11 @@ object SparkSpec {
     // The iterative engine runs thousands of tiny jobs; INFO logging would
     // dwarf the test output.
     s.sparkContext.setLogLevel("WARN")
+    // The one expected WARN: `RDD.unpersist` logs "RDD <id> was locally
+    // checkpointed, its lineage has been truncated and cannot be recomputed
+    // after unpersisting" for every engine step the Spark exchange drops.
+    // Spark 4.1.2 has no public call that drops a local checkpoint quietly.
+    Configurator.setLevel("org.apache.spark.rdd.MapPartitionsRDD", Level.ERROR)
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

@@ -12,11 +12,22 @@ import repro.seq.SeqKCore
 
 /** End-to-end correctness of the BSP peeling engine: every configuration
   * must reproduce BZ's coreness exactly, on every test graph.
+  *
+  * `check` runs the peel loop on the in-thread `LocalExchange`, with no
+  * Spark job; `checkSpark` runs it through `ParallelKCore` on the Spark
+  * exchange. Both must give the same pinned counters.
   */
 class EngineSpec extends SparkSpec {
 
+  private def check(g: LocalGraph, cfg: KCoreConfig, nParts: Int = 4): RunMetrics = {
+    val (core, metrics, _) = LocalExchange.run(g, nParts, cfg)
+    assert(core.toSeq == SeqKCore.bz(g).toSeq, s"${cfg.name} wrong coreness")
+    metrics
+  }
+
   /** `tasks`: the Spark tasks hosting the partitions; derived when None. */
-  private def check(g: LocalGraph, cfg: KCoreConfig, nParts: Int = 4, tasks: Option[Int] = None): RunMetrics = {
+  private def checkSpark(g: LocalGraph, cfg: KCoreConfig, nParts: Int = 4,
+                         tasks: Option[Int] = None): RunMetrics = {
     val handle = ParallelKCore.prepareLocal(spark, g, nParts)
     try {
       val (core, metrics) = tasks.fold(ParallelKCore.run(handle, cfg))(runHosted(handle, cfg, _))
@@ -28,7 +39,7 @@ class EngineSpec extends SparkSpec {
 
   /** `ParallelKCore.run` with the hosting task count chosen by the test. */
   private def runHosted(h: GraphHandle, cfg: KCoreConfig, tasks: Int): (Array[Int], RunMetrics) =
-    PeelEngine.run(h.base, h.n, h.maxDeg, cfg, tasks)
+    PeelEngine.run(h.n, cfg, new SparkExchange(h.base.coalesce(tasks), _))
 
   private val graphs: Seq[(String, LocalGraph)] = Seq(
     "figure1" -> TestGraphs.figure1,
@@ -101,6 +112,14 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  // The four Table-2 algorithms on Spark, against the same literals.
+  for (gname <- Seq("random-dense", "caterpillar"); cfg <- presets.filter(_.name != "Plain")) {
+    test(s"${cfg.name} == BZ on $gname (Spark)") {
+      val m = checkSpark(graphs.toMap.apply(gname), cfg)
+      assert(fingerprint(m) == expectedFingerprints((cfg.name, gname)))
+    }
+  }
+
   private val expectedComboFingerprints: Map[(String, String), String] = Map(
     ("Plain", "random-dense") -> "RunMetrics(Plain,0.0,21,40,19,14004,5512,4184,0,4108,0,476,4108,18,5017,0,0)",
     ("Plain", "caterpillar") -> "RunMetrics(Plain,0.0,3,25,22,859,288,415,0,16,0,105,16,1,515,0,0)",
@@ -120,10 +139,12 @@ class EngineSpec extends SparkSpec {
     ("All", "caterpillar") -> "RunMetrics(All,0.0,3,6,3,859,288,415,0,16,0,105,16,2,365,0,0)",
   )
 
-  // All 8 technique combos on two representative graphs.
+  // All 8 technique combos on two representative graphs, in-thread and on Spark.
   for (cfg <- KCoreConfig.combos; gname <- Seq("random-dense", "caterpillar")) {
     test(s"combo ${cfg.name} == BZ on $gname") {
-      assert(fingerprint(check(graphs.toMap.apply(gname), cfg)) == expectedComboFingerprints((cfg.name, gname)))
+      val g = graphs.toMap.apply(gname)
+      assert(fingerprint(check(g, cfg)) == expectedComboFingerprints((cfg.name, gname)))
+      assert(fingerprint(checkSpark(g, cfg)) == expectedComboFingerprints((cfg.name, gname)))
     }
   }
 
@@ -142,7 +163,7 @@ class EngineSpec extends SparkSpec {
     test(s"combo ${cfg.name} samples on hubby at nParts $nParts") {
       val hosting = if (nParts == 7) Seq(None, Some(1), Some(3)) else Seq(None)
       for (tasks <- hosting) {
-        val m = check(TestGraphs.hubby(1500, 3, 0.3, 6),
+        val m = checkSpark(TestGraphs.hubby(1500, 3, 0.3, 6),
           cfg.copy(sampling = Some(SamplingParams(threshold = 100))), nParts, tasks)
         assert(m.restarts == 0, s"tasks $tasks")
         assert(m.maxSampled > 0, s"tasks $tasks")
@@ -152,16 +173,16 @@ class EngineSpec extends SparkSpec {
   }
 
   test("nParts = 1 degenerates gracefully") {
-    check(TestGraphs.random(100, 500, 3), KCoreConfig.ours, nParts = 1)
+    checkSpark(TestGraphs.random(100, 500, 3), KCoreConfig.ours, nParts = 1)
   }
 
   test("nParts larger than needed still works") {
-    check(TestGraphs.random(40, 120, 4), KCoreConfig.ours, nParts = 16)
+    checkSpark(TestGraphs.random(40, 120, 4), KCoreConfig.ours, nParts = 16)
   }
 
   test("isolated vertices get coreness 0") {
     val g = LocalGraph.fromEdgeSeq(10, Seq((0, 1), (2, 3)))
-    check(g, KCoreConfig.ours)
+    checkSpark(g, KCoreConfig.ours)
   }
 
   test("deterministic across runs (same seed)") {
@@ -190,8 +211,7 @@ class EngineSpec extends SparkSpec {
     val g = TestGraphs.hubby(1500, 3, 0.3, 6)
     val cfg = KCoreConfig.ours.copy(sampling = Some(SamplingParams(threshold = 100)))
     val h = ParallelKCore.prepareLocal(spark, g, 4)
-    val maxDeg = h.maxDeg
-    val init = h.base.mapPartitions(_.map(PartitionState.init(_, cfg, maxDeg))).localCheckpoint()
+    val init = h.base.mapPartitions(_.map(PartitionState.init(_, cfg))).localCheckpoint()
     try {
       val initOuts = init.map(_._2).collect().sortBy(_.pid)
       assert(initOuts.exists(_.dirV.nonEmpty), "expected sampled hubs")
@@ -201,7 +221,7 @@ class EngineSpec extends SparkSpec {
       val k = (0 until g.n).map(g.degree).min
       // Uncached: each collect runs the step again against the same cached
       // input blocks, as a retried or recomputed task would.
-      val next = PeelEngine.step(init, SubroundIn(k, roundStart = true, 0, initOuts), cfg)
+      val next = SparkExchange.step(init, SubroundIn(k, roundStart = true, 0, initOuts), cfg)
       val first = next.collect()
       val second = next.collect()
       assert(first.iterator.map(_._2.counters.frontierProcessed).sum > 0)
@@ -273,7 +293,7 @@ class EngineSpec extends SparkSpec {
     // The hub's recount puts it back into sample mode and its own peeled
     // leaves push it out again in the same subround. A stale directory entry
     // would keep the cycle's partition sending hits the hub drops.
-    val m = check(TestGraphs.hubWithRemoteCycle,
+    val m = checkSpark(TestGraphs.hubWithRemoteCycle,
       KCoreConfig.plain.copy(sampling = Some(SamplingParams(threshold = 48, r = 0.5))), nParts = 2)
     assert(m.restarts == 0 && m.maxSampled > 0, m.toString)
   }
@@ -286,13 +306,15 @@ class EngineSpec extends SparkSpec {
         yield (s"random($n, $m, $seed)", TestGraphs.random(n, m, seed)),
       for (n <- Gen.choose(300, 800); hubs <- Gen.choose(1, 3); frac <- Gen.choose(0.2, 0.5); seed <- Gen.choose(0L, 10000L))
         yield (s"hubby($n, $hubs, $frac, $seed)", TestGraphs.hubby(n, hubs, frac, seed)))
-    val prop = Prop.forAllNoShrink(graphGen, Gen.choose(1, 8), Gen.oneOf(presets ++ sampled)) {
+    // Up to 17 partitions: more than the slots, and some empty on small graphs.
+    val prop = Prop.forAllNoShrink(graphGen, Gen.choose(1, 17), Gen.oneOf(presets ++ sampled)) {
       case ((gname, g), nParts, cfg) =>
-        val handle = ParallelKCore.prepareLocal(spark, g, nParts)
-        val (core, m) = try ParallelKCore.run(handle, cfg) finally handle.unpersist()
+        val (core, m, ex) = LocalExchange.run(g, nParts, cfg)
         ((core.toSeq == SeqKCore.bz(g).toSeq) :| "coreness == BZ" &&
           (m.edgeTraversals == g.adj.length.toLong) :| "edgeTraversals == 2m" &&
-          (m.subroundsNonEmpty <= m.subrounds) :| "rho' <= subrounds") :| s"${cfg.name} on $gname, nParts $nParts"
+          (m.subroundsNonEmpty <= m.subrounds) :| "rho' <= subrounds" &&
+          (ex.last.map(_.counters.peeledOwnedTotal).sum == g.n) :| "peeled == n") :|
+          s"${cfg.name} on $gname, nParts $nParts"
     }
     val params = SCTest.Parameters.default.withMinSuccessfulTests(80).withInitialSeed(Seed(20250))
     val res = SCTest.check(params, prop)

@@ -14,7 +14,7 @@ class ProcessorSpec extends AnyFunSuite {
   private val path = TestGraphs.path(8)
   private def mkState(cfg: KCoreConfig, pid: Int): PartitionState = {
     val parts = Csr.buildLocal(path, 2)
-    PartitionState.init(parts(pid), cfg, path.maxDegree)._1
+    PartitionState.init(parts(pid), cfg)._1
   }
 
   /** One partition's output carrying the given messages and changes. */
@@ -140,7 +140,7 @@ class ProcessorSpec extends AnyFunSuite {
     val star = TestGraphs.star(31)
     val cfg = KCoreConfig.plain.copy(sampling = Some(SamplingParams(threshold = 16, r = 0.9, c = -1.95)))
     val Array((hubSt, init0), (replica, init1)) =
-      Csr.buildLocal(star, 2).map(PartitionState.init(_, cfg, star.maxDegree))
+      Csr.buildLocal(star, 2).map(PartitionState.init(_, cfg))
     SubroundProcessor.process(replica, SubroundIn(0, roundStart = true, 0, Array(init0, init1)), cfg)
     assert(replica.dir.get(0) == 1.0)
     hubSt.mode(0) = 2

@@ -7,11 +7,11 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 class BucketStrategySpec extends AnyFunSuite {
 
-  private def mkStrategy(name: String, maxDeg: Int): BucketStrategy = name match {
+  private def mkStrategy(name: String): BucketStrategy = name match {
     case "scanAll" => new ScanAllStrategy
     case "one" => new OneBucketStrategy
     case "fixed" => new FixedBucketsStrategy
-    case "hier" => new HierarchicalStrategy(4, maxDeg) // low θ so HBS engages
+    case "hier" => new HierarchicalStrategy(4) // low θ so HBS engages
   }
 
   private val names = Seq("scanAll", "one", "fixed", "hier")
@@ -27,7 +27,7 @@ class BucketStrategySpec extends AnyFunSuite {
     val key = Array.fill(n)(rng.nextInt(maxKey + 1))
     val dead = new Array[Boolean](n)
     val sel = new Array[Boolean](n).map(_ => true)
-    val s = mkStrategy(name, maxKey)
+    val s = mkStrategy(name)
     s.init(Array.range(0, n), key(_))
     (0 to maxKey).foreach { k =>
       (0 until 15).foreach { _ =>
@@ -55,7 +55,7 @@ class BucketStrategySpec extends AnyFunSuite {
       val key = Array(2, 2, 2)
       val dead = Array(false, false, false)
       val sampled = Array(false, true, false)
-      val s = mkStrategy(name, 10)
+      val s = mkStrategy(name)
       s.init(Array(0, 1, 2), key(_))
       (0 to 2).foreach { k =>
         val got = s.extract(k, key(_), v => !dead(v), v => !sampled(v)).sorted.toSeq
@@ -99,7 +99,7 @@ class BucketStrategySpec extends AnyFunSuite {
   test("deepCopy independence for every strategy") {
     names.foreach { name =>
       val key = Array(0, 1, 2)
-      val s = mkStrategy(name, 5)
+      val s = mkStrategy(name)
       s.init(Array(0, 1, 2), key(_))
       val c = s.deepCopy()
       val gotS = s.extract(0, key(_), _ => true, _ => true).toSeq

@@ -13,7 +13,7 @@ class HbsSpec extends AnyFunSuite {
   private def simulate(maxKey: Int, initial: Map[Int, Int],
                        decrements: Map[Int, Seq[(Int, Int)]]): Unit = {
     // decrements: round -> (vertex, newKey) applied before that round's extract
-    val hbs = new Hbs(maxKey)
+    val hbs = new Hbs
     val key = scala.collection.mutable.Map(initial.toSeq: _*)
     val dead = scala.collection.mutable.Set[Int]()
     initial.foreach { case (v, d) => hbs.insert(v, d) }
@@ -53,7 +53,7 @@ class HbsSpec extends AnyFunSuite {
   }
 
   test("vertex peeled early is never re-extracted") {
-    val hbs = new Hbs(10)
+    val hbs = new Hbs
     hbs.insert(1, 2)
     hbs.insert(2, 2)
     val keys = scala.collection.mutable.Map(1 -> 2, 2 -> 2)
@@ -69,7 +69,7 @@ class HbsSpec extends AnyFunSuite {
     val n = 400
     val maxKey = 120
     val key = Array.fill(n)(rng.nextInt(maxKey + 1))
-    val hbs = new Hbs(maxKey)
+    val hbs = new Hbs
     (0 until n).foreach(v => hbs.insert(v, key(v)))
     val dead = new Array[Boolean](n)
     (0 to maxKey).foreach { k =>
@@ -90,14 +90,14 @@ class HbsSpec extends AnyFunSuite {
   }
 
   test("opsCost grows with activity") {
-    val hbs = new Hbs(10)
+    val hbs = new Hbs
     val before = hbs.opsCost
     hbs.insert(1, 5)
     assert(hbs.opsCost > before)
   }
 
   test("deepCopy is independent") {
-    val hbs = new Hbs(10)
+    val hbs = new Hbs
     hbs.insert(1, 4)
     val c = hbs.deepCopy()
     c.insert(2, 4)
@@ -107,14 +107,14 @@ class HbsSpec extends AnyFunSuite {
   }
 
   test("totalEntries counts live + stale copies") {
-    val hbs = new Hbs(10)
+    val hbs = new Hbs
     hbs.insert(1, 8)
     hbs.decreaseKey(1, 4)
     assert(hbs.totalEntries == 2)
   }
 
   test("bucketIdx layout: first 8 single, then 8/16/32 ranges") {
-    val hbs = new Hbs(1000)
+    val hbs = new Hbs
     (0 until 8).foreach(d => assert(hbs.bucketIdx(d) == d, s"d=$d"))
     // ranged indices are relative to the companion's internal scheme:
     assert(hbs.bucketIdx(8) == hbs.bucketIdx(15))
