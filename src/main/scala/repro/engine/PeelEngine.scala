@@ -1,8 +1,10 @@
 package repro.engine
 
+import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
 import repro.core.KCoreConfig
 import scala.annotation.tailrec
+import scala.reflect.ClassTag
 
 /** Weights used when folding counters into the modeled critical path. */
 object CostWeights {
@@ -57,6 +59,8 @@ private[engine] trait Exchange {
   def step(in: SubroundIn): Array[SubroundOut]
   /** Coreness of every vertex, from the states of the last step. */
   def gather(): Array[Int]
+  /** Drops what the exchange still holds; for an attempt the loop abandons. */
+  def release(): Unit
 }
 
 /** The BSP peeling engine (paper Alg. 1): rounds of subrounds over the
@@ -91,12 +95,16 @@ object PeelEngine {
   private[engine] def run(n: Int, cfg: KCoreConfig,
                           exchange: KCoreConfig => Exchange): (Array[Int], RunMetrics) = {
     val t0 = System.nanoTime()
-    @tailrec def attempt(cfg: KCoreConfig, restarts: Int): (Array[Int], RunMetrics) =
-      peel(exchange(cfg), n, cfg) match {
+    @tailrec def attempt(cfg: KCoreConfig, restarts: Int): (Array[Int], RunMetrics) = {
+      val ex = exchange(cfg)
+      peel(ex, n, cfg) match {
         case Some((core, m)) =>
           (core, m.copy(wallMillis = (System.nanoTime() - t0) / 1e6, restarts = restarts))
-        case None => attempt(cfg.copy(sampling = None), restarts + 1)
+        case None =>
+          ex.release()
+          attempt(cfg.copy(sampling = None), restarts + 1)
       }
+    }
     attempt(cfg, 0)
   }
 
@@ -149,23 +157,26 @@ object PeelEngine {
   * several partitions (tests vary their number). A step is one
   * `RDD[(PartitionState, SubroundOut)]` that is `localCheckpoint`ed (the init
   * job too), so the lineage is one step deep; the subround input, every
-  * partition's previous output, rides in the step's task closure.
+  * partition's previous output, rides in the step's task function.
+  *
+  * Every function handed to Spark is a named class, not a lambda: Spark's
+  * closure cleaner returns at once for those, where for a lambda it reads and
+  * parses the class file that defines it (`RDD.collect` alone costs two such
+  * parses, of `RDD` and `SparkContext`, per job). See DESIGN.md §5.
   */
 private[engine] final class SparkExchange(hosted: RDD[PartitionGraph], cfg: KCoreConfig) extends Exchange {
-  private var cur: RDD[(PartitionState, SubroundOut)] = _
+  import SparkExchange._
+  private var cur: RDD[StateOut] = _
 
   private def label(what: String): Unit = hosted.sparkContext.setJobDescription(s"kcore ${cfg.name} $what")
-  // Makes `r` the current step and checkpoints it as its collect runs: no extra job.
-  private def advance(what: String, r: RDD[(PartitionState, SubroundOut)]): Array[SubroundOut] = {
+  // Makes `r` the current step and checkpoints it as its job runs: no extra job.
+  private def advance(what: String, r: RDD[StateOut]): Array[SubroundOut] = {
     label(what)
     cur = r
-    r.localCheckpoint().map(_._2).collect().sortBy(_.pid)
+    collect(r.localCheckpoint(), Outputs).sortBy(_.pid)
   }
 
-  def init(): Array[SubroundOut] = {
-    val c = cfg // the task closure captures the config, not this exchange
-    advance("init", hosted.mapPartitions(_.map(PartitionState.init(_, c)), preservesPartitioning = true))
-  }
+  def init(): Array[SubroundOut] = advance("init", hosted.mapPartitions(Init(cfg), preservesPartitioning = true))
 
   def step(in: SubroundIn): Array[SubroundOut] = {
     val prev = cur
@@ -177,20 +188,47 @@ private[engine] final class SparkExchange(hosted: RDD[PartitionGraph], cfg: KCor
   def gather(): Array[Int] = {
     label("gather")
     // The pid ranges are contiguous and cover [0, n) in pid order.
-    try cur.map { case (st, _) => (st.g.pid, st.core) }.collect().sortBy(_._1).flatMap(_._2)
-    finally cur.unpersist(false)
+    try collect(cur, Cores).sortBy(_._1).flatMap(_._2)
+    finally release()
   }
+
+  def release(): Unit = cur.unpersist(false)
 }
 
 private[engine] object SparkExchange {
+  type StateOut = (PartitionState, SubroundOut)
+
   /** One subround over the states of `prev`, uncached. Each state is
     * deep-copied first, so `prev`'s cached blocks are never mutated and a
     * re-executed task sees the same input.
     */
-  def step(prev: RDD[(PartitionState, SubroundOut)], in: SubroundIn,
-           cfg: KCoreConfig): RDD[(PartitionState, SubroundOut)] =
-    prev.mapPartitions(_.map { case (st0, _) =>
+  def step(prev: RDD[StateOut], in: SubroundIn, cfg: KCoreConfig): RDD[StateOut] =
+    prev.mapPartitions(Process(in, cfg), preservesPartitioning = true)
+
+  /** One job over all of `r`'s partitions; each task's array, in partition order. */
+  private def collect[U: ClassTag](r: RDD[StateOut], f: (TaskContext, Iterator[StateOut]) => Array[U]): Array[U] = {
+    val parts = new Array[Array[U]](r.getNumPartitions)
+    r.sparkContext.runJob(r, f, parts.indices, (i: Int, a: Array[U]) => parts(i) = a)
+    parts.flatten
+  }
+
+  private final case class Init(cfg: KCoreConfig) extends (Iterator[PartitionGraph] => Iterator[StateOut]) {
+    def apply(it: Iterator[PartitionGraph]): Iterator[StateOut] = it.map(PartitionState.init(_, cfg))
+  }
+
+  private final case class Process(in: SubroundIn, cfg: KCoreConfig) extends (Iterator[StateOut] => Iterator[StateOut]) {
+    def apply(it: Iterator[StateOut]): Iterator[StateOut] = it.map { case (st0, _) =>
       val st = st0.deepCopy()
       (st, SubroundProcessor.process(st, in, cfg))
-    }, preservesPartitioning = true)
+    }
+  }
+
+  private object Outputs extends ((TaskContext, Iterator[StateOut]) => Array[SubroundOut]) with Serializable {
+    def apply(tc: TaskContext, it: Iterator[StateOut]): Array[SubroundOut] = it.map(_._2).toArray
+  }
+
+  private object Cores extends ((TaskContext, Iterator[StateOut]) => Array[(Int, Array[Int])]) with Serializable {
+    def apply(tc: TaskContext, it: Iterator[StateOut]): Array[(Int, Array[Int])] =
+      it.map { case (st, _) => (st.g.pid, st.core) }.toArray
+  }
 }

@@ -1,5 +1,9 @@
 package repro.engine
 
+import org.apache.logging.log4j.Level
+import org.apache.logging.log4j.core.{LogEvent, LoggerContext}
+import org.apache.logging.log4j.core.appender.AbstractAppender
+import org.apache.logging.log4j.core.config.{LoggerConfig, Property}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalacheck.Prop.propBoolean
@@ -275,6 +279,41 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  test("a decomposition on the Spark exchange gives Spark's closure cleaner no closure") {
+    // The cleaner logs each function it gets at DEBUG: "Expected a closure;
+    // got <class>" for a named class, which it returns at once, and
+    // "Cleaning ... closure" for a lambda, whose defining class file it reads
+    // and parses (RDD.collect hands it two: one from RDD, one from SparkContext).
+    val name = "org.apache.spark.util.ClosureCleaner"
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val appender = new AbstractAppender("closure-cleaner-events", null, null, true, Property.EMPTY_ARRAY) {
+      override def append(e: LogEvent): Unit = seen.add(e.getMessage.getFormattedMessage)
+    }
+    // First, as starting the session may replace the logging configuration.
+    val h = ParallelKCore.prepareLocal(spark, TestGraphs.grid(8, 8), 4)
+    val ctx = LoggerContext.getContext(false)
+    val config = ctx.getConfiguration
+    val prior = Option(config.getLoggers.get(name))
+    val capture = new LoggerConfig(name, Level.DEBUG, false)
+    capture.addAppender(appender, Level.DEBUG, null)
+    appender.start()
+    config.removeLogger(name)
+    config.addLogger(name, capture)
+    ctx.updateLoggers()
+    try ParallelKCore.run(h, KCoreConfig.julienne)
+    finally {
+      config.removeLogger(name)
+      prior.foreach(config.addLogger(name, _))
+      ctx.updateLoggers()
+      appender.stop()
+      h.unpersist()
+    }
+    val events = seen.toArray(Array.empty[String]).toSeq
+    assert(events.nonEmpty, "no ClosureCleaner event captured")
+    val cleaned = events.filterNot(_.startsWith("Expected a closure"))
+    assert(cleaned.isEmpty, cleaned.mkString("\n"))
+  }
+
   // ---- sampling-specific behaviour ----------------------------------------
 
   private def lowThreshold = SamplingParams(threshold = 48)
@@ -298,14 +337,15 @@ class EngineSpec extends SparkSpec {
     assert(m.restarts == 0 && m.maxSampled > 0, m.toString)
   }
 
+  private val sampled = KCoreConfig.combos.filter(_.sampling.isDefined)
+    .map(_.copy(sampling = Some(SamplingParams(threshold = 100))))
+  private val graphGen: Gen[(String, LocalGraph)] = Gen.oneOf(
+    for (n <- Gen.choose(1, 300); m <- Gen.choose(0, 6 * n); seed <- Gen.choose(0L, 10000L))
+      yield (s"random($n, $m, $seed)", TestGraphs.random(n, m, seed)),
+    for (n <- Gen.choose(300, 800); hubs <- Gen.choose(1, 3); frac <- Gen.choose(0.2, 0.5); seed <- Gen.choose(0L, 10000L))
+      yield (s"hubby($n, $hubs, $frac, $seed)", TestGraphs.hubby(n, hubs, frac, seed)))
+
   test("engine == BZ on generated graphs, nParts and configs (property)") {
-    val sampled = KCoreConfig.combos.filter(_.sampling.isDefined)
-      .map(_.copy(sampling = Some(SamplingParams(threshold = 100))))
-    val graphGen: Gen[(String, LocalGraph)] = Gen.oneOf(
-      for (n <- Gen.choose(1, 300); m <- Gen.choose(0, 6 * n); seed <- Gen.choose(0L, 10000L))
-        yield (s"random($n, $m, $seed)", TestGraphs.random(n, m, seed)),
-      for (n <- Gen.choose(300, 800); hubs <- Gen.choose(1, 3); frac <- Gen.choose(0.2, 0.5); seed <- Gen.choose(0L, 10000L))
-        yield (s"hubby($n, $hubs, $frac, $seed)", TestGraphs.hubby(n, hubs, frac, seed)))
     // Up to 17 partitions: more than the slots, and some empty on small graphs.
     val prop = Prop.forAllNoShrink(graphGen, Gen.choose(1, 17), Gen.oneOf(presets ++ sampled)) {
       case ((gname, g), nParts, cfg) =>
@@ -317,6 +357,29 @@ class EngineSpec extends SparkSpec {
           s"${cfg.name} on $gname, nParts $nParts"
     }
     val params = SCTest.Parameters.default.withMinSuccessfulTests(80).withInitialSeed(Seed(20250))
+    val res = SCTest.check(params, prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("Spark exchange == LocalExchange with several partitions per task (property)") {
+    // More partitions than slots, hosted in the derived task count and in 2
+    // tasks: each task's outputs are flattened and sorted by pid.
+    val slots = spark.sparkContext.defaultParallelism
+    val prop = Prop.forAllNoShrink(graphGen, Gen.choose(slots + 1, math.max(slots + 1, 17)),
+      Gen.oneOf(presets ++ sampled)) {
+      case ((gname, g), nParts, cfg) =>
+        val bz = SeqKCore.bz(g).toSeq
+        val (_, local, _) = LocalExchange.run(g, nParts, cfg)
+        val h = ParallelKCore.prepareLocal(spark, g, nParts)
+        try {
+          Seq("derived tasks" -> ParallelKCore.run(h, cfg), "2 tasks" -> runHosted(h, cfg, 2)).map {
+            case (hosting, (core, m)) =>
+              ((core.toSeq == bz) :| "coreness == BZ" &&
+                (fingerprint(m) == fingerprint(local)) :| "RunMetrics == LocalExchange's") :| hosting
+          }.reduce(_ && _) :| s"${cfg.name} on $gname, nParts $nParts"
+        } finally h.unpersist()
+    }
+    val params = SCTest.Parameters.default.withMinSuccessfulTests(8).withInitialSeed(Seed(20251))
     val res = SCTest.check(params, prop)
     assert(res.passed, res.status.toString)
   }
@@ -335,6 +398,7 @@ class EngineSpec extends SparkSpec {
     val g = TestGraphs.hubby(1200, 2, 0.4, 7)
     val cfg = KCoreConfig.ours.copy(sampling = Some(SamplingParams(threshold = 16, c = -1.95)))
     val handle = ParallelKCore.prepareLocal(spark, g, 4)
+    val persisted = spark.sparkContext.getPersistentRDDs.size
     try {
       val t0 = System.nanoTime()
       val (core, metrics) = ParallelKCore.run(handle, cfg)
@@ -344,6 +408,8 @@ class EngineSpec extends SparkSpec {
       assert(metrics.restarts == 1)
       // The wall time covers the aborted attempt as well.
       assert(metrics.wallMillis >= 0.9 * callMillis, s"wall=${metrics.wallMillis} call=$callMillis")
+      // Neither attempt leaves a step cached.
+      assert(spark.sparkContext.getPersistentRDDs.size == persisted)
     } finally handle.unpersist()
   }
 

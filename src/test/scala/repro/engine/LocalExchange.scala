@@ -18,6 +18,7 @@ final class LocalExchange(parts: Array[PartitionGraph], cfg: KCoreConfig) extend
   }
   def step(in: SubroundIn): Array[SubroundOut] = { last = states.map(SubroundProcessor.process(_, in, cfg)); last }
   def gather(): Array[Int] = states.flatMap(_.core)
+  def release(): Unit = ()
 }
 
 object LocalExchange {
