@@ -218,9 +218,25 @@ private[engine] object SparkExchange {
 
   private final case class Process(in: SubroundIn, cfg: KCoreConfig) extends (Iterator[StateOut] => Iterator[StateOut]) {
     def apply(it: Iterator[StateOut]): Iterator[StateOut] = it.map { case (st0, _) =>
+      injectFault(st0.g.pid, in, afterAdvance = false)
       val st = st0.deepCopy()
-      (st, SubroundProcessor.process(st, in, cfg))
+      val out = SubroundProcessor.process(st, in, cfg)
+      injectFault(st.g.pid, in, afterAdvance = true)
+      (st, out)
     }
+  }
+
+  /** Test-only: the task that steps partition 0 at subround `sub` throws,
+    * before or after that state advances. It fires once: the step consumes
+    * it from [[fault]]. Tasks see it only in the driver's JVM (a local master).
+    */
+  private[engine] final case class Fault(sub: Int, afterAdvance: Boolean)
+  private[engine] val fault = new java.util.concurrent.atomic.AtomicReference[Fault]()
+
+  private def injectFault(pid: Int, in: SubroundIn, afterAdvance: Boolean): Unit = {
+    val f = fault.get
+    if (f != null && pid == 0 && f == Fault(in.subroundIndex, afterAdvance) && fault.compareAndSet(f, null))
+      throw new RuntimeException(s"injected fault: partition 0, subround ${f.sub}, afterAdvance ${f.afterAdvance}")
   }
 
   private object Outputs extends ((TaskContext, Iterator[StateOut]) => Array[SubroundOut]) with Serializable {

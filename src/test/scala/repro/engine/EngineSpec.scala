@@ -1,5 +1,9 @@
 package repro.engine
 
+import java.io.File
+import java.lang.management.ManagementFactory
+import java.nio.file.Files
+import java.util.concurrent.TimeUnit
 import org.apache.logging.log4j.Level
 import org.apache.logging.log4j.core.{LogEvent, LoggerContext}
 import org.apache.logging.log4j.core.appender.AbstractAppender
@@ -13,6 +17,7 @@ import repro.core._
 import repro.graph.LocalGraph
 import repro.sampling.SamplingParams
 import repro.seq.SeqKCore
+import scala.jdk.CollectionConverters._
 
 /** End-to-end correctness of the BSP peeling engine: every configuration
   * must reproduce BZ's coreness exactly, on every test graph.
@@ -237,6 +242,41 @@ class EngineSpec extends SparkSpec {
     } finally {
       init.unpersist(false)
       h.unpersist()
+    }
+  }
+
+  test("a task that fails once, before or after its state advances, is retried to the failure-free result") {
+    // A child JVM with this JVM's classpath and options (its own, smaller
+    // heap) runs FaultInjectionMain on local[4,3], where Spark retries a task.
+    val javaBin = s"${System.getProperty("java.home")}/bin/java"
+    val opts = ManagementFactory.getRuntimeMXBean.getInputArguments.asScala.filterNot(_.startsWith("-Xmx")).toSeq
+    val cmd = (javaBin +: opts) ++ Seq("-Xmx1g", "-cp", System.getProperty("java.class.path"),
+      FaultInjectionMain.getClass.getName.stripSuffix("$"))
+    val out = File.createTempFile("fault-injection", ".out")
+    val err = File.createTempFile("fault-injection", ".err")
+    val child = new ProcessBuilder(cmd.asJava).redirectOutput(out).redirectError(err).start()
+    try {
+      val finished = child.waitFor(300, TimeUnit.SECONDS)
+      def errTail = Files.readAllLines(err.toPath).asScala.takeRight(40).mkString("\n")
+      assert(finished, "the child JVM did not finish in 300 s")
+      assert(child.exitValue == 0, errTail)
+      val Run = "fault-run (\\w+) fired=(\\w+) core=(\\S*) (.*)".r
+      val runs = Files.readAllLines(out.toPath).asScala.collect {
+        case Run(label, fired, core, fp) => label -> (fired.toBoolean, core, fp)
+      }.toMap
+      assert(runs.keySet == Set("none", "before", "after"), errTail)
+      val bz = SeqKCore.bz(FaultInjectionMain.Graph).mkString(",")
+      val (_, clean, cleanFp) = runs("none")
+      assert(clean == bz, "coreness without a fault")
+      for (label <- Seq("before", "after")) {
+        val (fired, core, fp) = runs(label)
+        assert(fired, s"$label: the fault did not fire")
+        assert(core == clean, s"$label: coreness")
+        assert(fp == cleanFp, s"$label: counters")
+      }
+    } finally {
+      child.destroyForcibly().waitFor()
+      out.delete(); err.delete()
     }
   }
 
