@@ -4,9 +4,9 @@ import repro.core.{FixedBuckets, Hierarchical, KCoreConfig, OneBucket, ScanAllBu
 import repro.structures.{BucketStrategy, FixedBucketsStrategy, HierarchicalStrategy, OneBucketStrategy, ScanAllStrategy}
 
 /** The mutable per-partition state of the peeling engine. One instance per
-  * logical partition (pid); a Spark task may host several of them. The
-  * Spark exchange deep-copies it at the start of every subround so cached
-  * RDD contents are never mutated in place.
+  * logical partition (pid); a Spark task may host several of them. Each
+  * subround advances it in place: the Spark exchange keeps it in a cached
+  * block for the whole run.
   *
   * Arrays are indexed by local id (global − lo) except `peeled`, which is a
   * bitset over all n vertices — each partition tracks the *global* processed
@@ -32,14 +32,6 @@ final class PartitionState(
   @inline def li(v: Int): Int = v - g.lo
   @inline def isPeeledBit(v: Int): Boolean = (peeled(v >>> 6) & (1L << (v & 63))) != 0
   @inline def setPeeledBit(v: Int): Unit = peeled(v >>> 6) |= (1L << (v & 63))
-
-  def deepCopy(): PartitionState = {
-    val d = new java.util.HashMap[Integer, java.lang.Double](dir)
-    new PartitionState(
-      g, deg.clone(), core.clone(), peeled.clone(), mode.clone(), cnt.clone(),
-      rateArr.clone(), frontier, pendingRecount, sampledOwned,
-      strategy.deepCopy(), d, peeledOwnedCount)
-  }
 }
 
 object PartitionState {

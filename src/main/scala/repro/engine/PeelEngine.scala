@@ -154,9 +154,12 @@ object PeelEngine {
 }
 
 /** Each call is one Spark job over `hosted`, whose tasks may each host
-  * several partitions (tests vary their number). A step is one
-  * `RDD[(PartitionState, SubroundOut)]` that is `localCheckpoint`ed (the init
-  * job too), so the lineage is one step deep; the subround input, every
+  * several partitions (tests vary their number). The init job builds one
+  * [[SparkExchange.Resident]] per partition and `localCheckpoint`s them: the
+  * only checkpoint. It cuts the lineage once, so no later task ships the
+  * graph's source partitions, and the blocks stay cached, deserialised, for
+  * the whole attempt. Each step is a job on that same RDD that advances every
+  * state in place: it builds no RDD and copies no state. Its input, every
   * partition's previous output, rides in the step's task function.
   *
   * Every function handed to Spark is a named class, not a lambda: Spark's
@@ -166,64 +169,88 @@ object PeelEngine {
   */
 private[engine] final class SparkExchange(hosted: RDD[PartitionGraph], cfg: KCoreConfig) extends Exchange {
   import SparkExchange._
-  private var cur: RDD[StateOut] = _
+  private[engine] var resident: RDD[Resident] = _ // read by tests
+  private var reached = 0 // the step every resident state should be at
 
-  private def label(what: String): Unit = hosted.sparkContext.setJobDescription(s"kcore ${cfg.name} $what")
-  // Makes `r` the current step and checkpoints it as its job runs: no extra job.
-  private def advance(what: String, r: RDD[StateOut]): Array[SubroundOut] = {
-    label(what)
-    cur = r
-    collect(r.localCheckpoint(), Outputs).sortBy(_.pid)
-  }
-
-  def init(): Array[SubroundOut] = advance("init", hosted.mapPartitions(Init(cfg), preservesPartitioning = true))
-
-  def step(in: SubroundIn): Array[SubroundOut] = {
-    val prev = cur
-    val outs = advance(s"k=${in.k} sub=${in.subroundIndex}", SparkExchange.step(prev, in, cfg))
-    prev.unpersist(false) // only now: a retried task of `cur` reads `prev`
-    outs
-  }
-
-  def gather(): Array[Int] = {
-    label("gather")
-    // The pid ranges are contiguous and cover [0, n) in pid order.
-    try collect(cur, Cores).sortBy(_._1).flatMap(_._2)
-    finally release()
-  }
-
-  def release(): Unit = cur.unpersist(false)
-}
-
-private[engine] object SparkExchange {
-  type StateOut = (PartitionState, SubroundOut)
-
-  /** One subround over the states of `prev`, uncached. Each state is
-    * deep-copied first, so `prev`'s cached blocks are never mutated and a
-    * re-executed task sees the same input.
-    */
-  def step(prev: RDD[StateOut], in: SubroundIn, cfg: KCoreConfig): RDD[StateOut] =
-    prev.mapPartitions(Process(in, cfg), preservesPartitioning = true)
-
-  /** One job over all of `r`'s partitions; each task's array, in partition order. */
-  private def collect[U: ClassTag](r: RDD[StateOut], f: (TaskContext, Iterator[StateOut]) => Array[U]): Array[U] = {
-    val parts = new Array[Array[U]](r.getNumPartitions)
-    r.sparkContext.runJob(r, f, parts.indices, (i: Int, a: Array[U]) => parts(i) = a)
+  /** One job over all of `resident`'s partitions; each task's array, in partition order. */
+  private def job[U: ClassTag](what: String, f: (TaskContext, Iterator[Resident]) => Array[U]): Array[U] = {
+    hosted.sparkContext.setJobDescription(s"kcore ${cfg.name} $what")
+    val parts = new Array[Array[U]](resident.getNumPartitions)
+    hosted.sparkContext.runJob(resident, f, parts.indices, (i: Int, a: Array[U]) => parts(i) = a)
     parts.flatten
   }
 
-  private final case class Init(cfg: KCoreConfig) extends (Iterator[PartitionGraph] => Iterator[StateOut]) {
-    def apply(it: Iterator[PartitionGraph]): Iterator[StateOut] = it.map(PartitionState.init(_, cfg))
+  // The init job takes the checkpoint as it runs: no extra job.
+  def init(): Array[SubroundOut] = {
+    resident = hosted.mapPartitions(Init(cfg), preservesPartitioning = true).localCheckpoint()
+    job("init", Outputs).sortBy(_.pid)
   }
 
-  private final case class Process(in: SubroundIn, cfg: KCoreConfig) extends (Iterator[StateOut] => Iterator[StateOut]) {
-    def apply(it: Iterator[StateOut]): Iterator[StateOut] = it.map { case (st0, _) =>
-      injectFault(st0.g.pid, in, afterAdvance = false)
-      val st = st0.deepCopy()
-      val out = SubroundProcessor.process(st, in, cfg)
-      injectFault(st.g.pid, in, afterAdvance = true)
-      (st, out)
+  def step(in: SubroundIn): Array[SubroundOut] = {
+    reached = in.subroundIndex + 1
+    job(s"k=${in.k} sub=${in.subroundIndex}", Step(in, cfg)).sortBy(_.pid)
+  }
+
+  // The pid ranges are contiguous and cover [0, n) in pid order.
+  def gather(): Array[Int] =
+    try job("gather", Cores(reached)).sortBy(_._1).flatMap(_._2)
+    finally release()
+
+  def release(): Unit = resident.unpersist(false)
+}
+
+private[engine] object SparkExchange {
+  private final val InProgress = -1
+
+  /** One partition's state as its cached block holds it, with the number of
+    * subrounds it has run and the output of the last one (of init at first).
+    */
+  private[engine] final class Resident(val st: PartitionState, private var out: SubroundOut) extends Serializable {
+    private var steps = 0
+
+    /** Runs subround s = `in.subroundIndex` on the state in place, at most
+      * once. This replaces a copy as the guard against task retries: a state
+      * already at step s + 1 (a re-executed task) returns its recorded
+      * output; a state at step s is marked in progress, advanced, then
+      * stamped s + 1; any other state throws (see [[expect]]).
+      */
+    def advance(in: SubroundIn, cfg: KCoreConfig): SubroundOut = {
+      val s = in.subroundIndex
+      if (steps == s + 1) out
+      else {
+        expect(s)
+        injectFault(st.g.pid, in, afterAdvance = false)
+        steps = InProgress
+        out = SubroundProcessor.process(st, in, cfg)
+        steps = s + 1
+        injectFault(st.g.pid, in, afterAdvance = true)
+        out
+      }
     }
+
+    def lastOut: SubroundOut = out
+
+    def core(s: Int): Array[Int] = { expect(s); st.core }
+
+    /** A step left in progress by a failed task, or a block evicted and re-read
+      * at an older step, fails the job loudly instead of giving a wrong coreness.
+      */
+    private def expect(s: Int): Unit = if (steps != s) {
+      val at = if (steps == InProgress) "a step in progress" else s"step $steps"
+      throw new IllegalStateException(s"partition ${st.g.pid}: state at $at, expected step $s")
+    }
+  }
+
+  private final case class Init(cfg: KCoreConfig) extends (Iterator[PartitionGraph] => Iterator[Resident]) {
+    def apply(it: Iterator[PartitionGraph]): Iterator[Resident] = it.map { g =>
+      val (st, out) = PartitionState.init(g, cfg)
+      new Resident(st, out)
+    }
+  }
+
+  private final case class Step(in: SubroundIn, cfg: KCoreConfig)
+      extends ((TaskContext, Iterator[Resident]) => Array[SubroundOut]) {
+    def apply(tc: TaskContext, it: Iterator[Resident]): Array[SubroundOut] = it.map(_.advance(in, cfg)).toArray
   }
 
   /** Test-only: the task that steps partition 0 at subround `sub` throws,
@@ -239,12 +266,12 @@ private[engine] object SparkExchange {
       throw new RuntimeException(s"injected fault: partition 0, subround ${f.sub}, afterAdvance ${f.afterAdvance}")
   }
 
-  private object Outputs extends ((TaskContext, Iterator[StateOut]) => Array[SubroundOut]) with Serializable {
-    def apply(tc: TaskContext, it: Iterator[StateOut]): Array[SubroundOut] = it.map(_._2).toArray
+  private object Outputs extends ((TaskContext, Iterator[Resident]) => Array[SubroundOut]) with Serializable {
+    def apply(tc: TaskContext, it: Iterator[Resident]): Array[SubroundOut] = it.map(_.lastOut).toArray
   }
 
-  private object Cores extends ((TaskContext, Iterator[StateOut]) => Array[(Int, Array[Int])]) with Serializable {
-    def apply(tc: TaskContext, it: Iterator[StateOut]): Array[(Int, Array[Int])] =
-      it.map { case (st, _) => (st.g.pid, st.core) }.toArray
+  private final case class Cores(steps: Int) extends ((TaskContext, Iterator[Resident]) => Array[(Int, Array[Int])]) {
+    def apply(tc: TaskContext, it: Iterator[Resident]): Array[(Int, Array[Int])] =
+      it.map(r => (r.st.g.pid, r.core(steps))).toArray
   }
 }

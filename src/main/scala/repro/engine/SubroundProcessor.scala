@@ -4,8 +4,8 @@ import repro.core.{KCoreConfig, Offline, Online}
 import scala.collection.mutable.ArrayBuilder
 
 /** Executes one subround for one partition (what an exchange's step runs on
-  * every state). Mutates the state in place (the Spark exchange deep-copies
-  * it first) and returns the partition's `SubroundOut`.
+  * every state). Mutates the state in place (the Spark exchange runs it at
+  * most once per state and subround) and returns the partition's `SubroundOut`.
   *
   * Step order matters for the two-phase sampling exit protocol — see
   * DESIGN.md §5:

@@ -27,7 +27,6 @@ sealed trait BucketStrategy extends Serializable {
     */
   def extract(k: Int, degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Array[Int]
   def ops: Long
-  def deepCopy(): BucketStrategy
 }
 
 /** No active set: every round scans all owned vertices (ParK / PKC). */
@@ -49,12 +48,6 @@ final class ScanAllStrategy extends BucketStrategy {
     out.result()
   }
   def ops: Long = opsCount
-  def deepCopy(): BucketStrategy = {
-    val c = new ScanAllStrategy
-    c.owned = owned // immutable after init
-    c.opsCount = opsCount
-    c
-  }
 }
 
 /** Active set as a compact array, repacked (PACKed) every round. */
@@ -81,12 +74,6 @@ final class OneBucketStrategy extends BucketStrategy {
     out.result()
   }
   def ops: Long = opsCount
-  def deepCopy(): BucketStrategy = {
-    val c = new OneBucketStrategy
-    c.active = active.clone()
-    c.opsCount = opsCount
-    c
-  }
 }
 
 /** Julienne's fixed-width bucketing: every `b` rounds, rebuild buckets
@@ -97,8 +84,8 @@ final class OneBucketStrategy extends BucketStrategy {
 final class FixedBucketsStrategy extends BucketStrategy {
   private final val b = 16 // Julienne's bucket count
   private var active: Array[Int] = Array.emptyIntArray
-  private var buckets: Array[Array[Int]] = Array.fill(b)(Array.emptyIntArray)
-  private var bucketSz: Array[Int] = new Array[Int](b)
+  private val buckets: Array[Array[Int]] = Array.fill(b)(Array.emptyIntArray)
+  private val bucketSz: Array[Int] = new Array[Int](b)
   private var windowStart: Int = -1 // k of the last rebuild; -1 = not built
   private var opsCount: Long = 0L
 
@@ -154,15 +141,6 @@ final class FixedBucketsStrategy extends BucketStrategy {
   }
 
   def ops: Long = opsCount
-  def deepCopy(): BucketStrategy = {
-    val c = new FixedBucketsStrategy
-    c.active = active.clone()
-    c.buckets = buckets.indices.map(i => java.util.Arrays.copyOf(buckets(i), buckets(i).length)).toArray
-    c.bucketSz = bucketSz.clone()
-    c.windowStart = windowStart
-    c.opsCount = opsCount
-    c
-  }
 }
 
 /** The paper's final design (§5.3): one bucket while k < θ, then switch to
@@ -197,12 +175,4 @@ final class HierarchicalStrategy(val theta: Int) extends BucketStrategy {
   }
 
   def ops: Long = (if (one != null) one.ops else 0L) + (if (hbs != null) hbs.opsCost else 0L)
-
-  def deepCopy(): BucketStrategy = {
-    val c = new HierarchicalStrategy(theta)
-    c.switched = switched
-    c.one = if (one != null) one.deepCopy().asInstanceOf[OneBucketStrategy] else null
-    c.hbs = if (hbs != null) hbs.deepCopy() else null
-    c
-  }
 }

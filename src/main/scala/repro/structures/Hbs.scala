@@ -113,26 +113,6 @@ final class Hbs extends Serializable {
     }
     Hbs.dedupSorted(out.result())
   }
-
-  def deepCopy(): Hbs = {
-    val c = new Hbs
-    var i = 0
-    while (i < 8) {
-      c.singles(i) = if (singleSz(i) == 0) EmptyArr else java.util.Arrays.copyOf(singles(i), singleSz(i))
-      c.singleSz(i) = singleSz(i)
-      i += 1
-    }
-    i = 0
-    while (i < NRanged) {
-      c.ranged(i) = if (rangedSz(i) == 0) EmptyArr else java.util.Arrays.copyOf(ranged(i), rangedSz(i))
-      c.rangedSz(i) = rangedSz(i)
-      c.rangedMin(i) = rangedMin(i)
-      i += 1
-    }
-    c.k = k
-    c.opsCost = opsCost
-    c
-  }
 }
 
 object Hbs {

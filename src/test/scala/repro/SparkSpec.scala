@@ -34,8 +34,9 @@ object SparkSpec {
     s.sparkContext.setLogLevel("WARN")
     // The one expected WARN: `RDD.unpersist` logs "RDD <id> was locally
     // checkpointed, its lineage has been truncated and cannot be recomputed
-    // after unpersisting" for every engine step the Spark exchange drops.
-    // Spark 4.1.2 has no public call that drops a local checkpoint quietly.
+    // after unpersisting" once per decomposition, when the Spark exchange
+    // drops its resident states. Spark 4.1.2 has no public call that drops a
+    // local checkpoint quietly.
     Configurator.setLevel("org.apache.spark.rdd.MapPartitionsRDD", Level.ERROR)
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).

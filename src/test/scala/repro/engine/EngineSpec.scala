@@ -8,6 +8,7 @@ import org.apache.logging.log4j.Level
 import org.apache.logging.log4j.core.{LogEvent, LoggerContext}
 import org.apache.logging.log4j.core.appender.AbstractAppender
 import org.apache.logging.log4j.core.config.{LoggerConfig, Property}
+import org.apache.spark.SparkException
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalacheck.Prop.propBoolean
@@ -197,12 +198,15 @@ class EngineSpec extends SparkSpec {
   test("deterministic across runs (same seed)") {
     val g = TestGraphs.random(200, 1500, 5)
     val h = ParallelKCore.prepareLocal(spark, g, 4)
+    val persisted = spark.sparkContext.getPersistentRDDs.size
     try {
       val (c1, m1) = ParallelKCore.run(h, KCoreConfig.ours)
+      assert(spark.sparkContext.getPersistentRDDs.size == persisted, "the run left an RDD cached")
       for (tasks <- Seq(1, 2, 4)) {
         val (c, m) = runHosted(h, KCoreConfig.ours, tasks)
         assert(c.toSeq == c1.toSeq, s"tasks $tasks")
         assert(fingerprint(m) == fingerprint(m1), s"tasks $tasks")
+        assert(spark.sparkContext.getPersistentRDDs.size == persisted, s"tasks $tasks: the run left an RDD cached")
       }
     } finally h.unpersist()
   }
@@ -216,31 +220,31 @@ class EngineSpec extends SparkSpec {
     Seq(o.pid, o.decs.toSeq, Option(o.decCounts).map(_.toSeq), o.hits.toSeq, o.newlyPeeled.toSeq,
       o.dirV.toSeq, o.dirRate.toSeq, o.counters, o.error).mkString(" ")
 
-  test("a re-executed subround step gives the same outputs and leaves its input unchanged") {
+  test("a re-executed step returns its recorded outputs; a step out of order fails") {
     val g = TestGraphs.hubby(1500, 3, 0.3, 6)
     val cfg = KCoreConfig.ours.copy(sampling = Some(SamplingParams(threshold = 100)))
     val h = ParallelKCore.prepareLocal(spark, g, 4)
-    val init = h.base.mapPartitions(_.map(PartitionState.init(_, cfg))).localCheckpoint()
+    val ex = new SparkExchange(h.base.coalesce(math.min(4, spark.sparkContext.defaultParallelism)), cfg)
+    val local = new LocalExchange(Csr.buildLocal(g, 4), cfg)
     try {
-      val initOuts = init.map(_._2).collect().sortBy(_.pid)
+      val initOuts = ex.init()
       assert(initOuts.exists(_.dirV.nonEmpty), "expected sampled hubs")
-      val before = init.map(_._1).collect().toSeq.map(render)
-      // Round k = min degree, so the step peels vertices and mutates the
-      // states it computes from.
+      assert(initOuts.toSeq.map(render) == local.init().toSeq.map(render))
+      // Round k = min degree, so the step peels vertices.
       val k = (0 until g.n).map(g.degree).min
-      // Uncached: each collect runs the step again against the same cached
-      // input blocks, as a retried or recomputed task would.
-      val next = SparkExchange.step(init, SubroundIn(k, roundStart = true, 0, initOuts), cfg)
-      val first = next.collect()
-      val second = next.collect()
-      assert(first.iterator.map(_._2.counters.frontierProcessed).sum > 0)
-      def rendered(r: Array[(PartitionState, SubroundOut)]) = r.toSeq.map { case (st, o) => (render(st), render(o)) }
-      val same = rendered(first) == rendered(second)
-      assert(same, "the re-executed step gave other states, outputs or counters")
-      val unchanged = init.map(_._1).collect().toSeq.map(render) == before
-      assert(unchanged, "the step mutated its cached input states")
+      val in = SubroundIn(k, roundStart = true, 0, initOuts)
+      // The second call is the step's task run again on the advanced states.
+      val first = ex.step(in)
+      val second = ex.step(in)
+      assert(first.exists(_.newlyPeeled.nonEmpty), "the step peeled nothing")
+      assert(first.toSeq.map(render) == second.toSeq.map(render), "the re-executed step gave other outputs")
+      assert(first.toSeq.map(render) == local.step(in).toSeq.map(render), "outputs differ from LocalExchange's")
+      val states = ex.resident.map(_.st).collect().sortBy(_.g.pid).toSeq.map(render)
+      assert(states == local.states.toSeq.map(render), "the states differ from LocalExchange's after one step")
+      val skip = intercept[SparkException](ex.step(in.copy(roundStart = false, subroundIndex = 5)))
+      assert("partition \\d+: state at step 1, expected step 5".r.findFirstIn(skip.getMessage).nonEmpty, skip.getMessage)
     } finally {
-      init.unpersist(false)
+      ex.release()
       h.unpersist()
     }
   }

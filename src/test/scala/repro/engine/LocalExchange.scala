@@ -8,7 +8,7 @@ import repro.graph.LocalGraph
   * old state again, so no copy is needed. `last` holds the latest outputs.
   */
 final class LocalExchange(parts: Array[PartitionGraph], cfg: KCoreConfig) extends Exchange {
-  private var states: Array[PartitionState] = _
+  var states: Array[PartitionState] = _
   var last: Array[SubroundOut] = _
 
   def init(): Array[SubroundOut] = {

@@ -216,15 +216,4 @@ class ProcessorSpec extends AnyFunSuite {
     SubroundProcessor.process(st, in, KCoreConfig.plain)
     assert(st.isPeeledBit(1) && st.isPeeledBit(2) && !st.isPeeledBit(3))
   }
-
-  test("deepCopy isolates all mutable state") {
-    val st = mkState(KCoreConfig.ours, 0)
-    val copy = st.deepCopy()
-    copy.deg(0) = 42
-    copy.setPeeledBit(3)
-    copy.dir.put(9, 0.5)
-    assert(st.deg(0) == 1)
-    assert(!st.isPeeledBit(3))
-    assert(!st.dir.containsKey(9))
-  }
 }

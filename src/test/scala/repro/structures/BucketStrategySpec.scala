@@ -95,17 +95,4 @@ class BucketStrategySpec extends AnyFunSuite {
     assert(a.ops == 6L * n)
     assert(b.ops < a.ops)
   }
-
-  test("deepCopy independence for every strategy") {
-    names.foreach { name =>
-      val key = Array(0, 1, 2)
-      val s = mkStrategy(name)
-      s.init(Array(0, 1, 2), key(_))
-      val c = s.deepCopy()
-      val gotS = s.extract(0, key(_), _ => true, _ => true).toSeq
-      val gotC = c.extract(0, key(_), _ => true, _ => true).toSeq
-      assert(gotS == Seq(0), name)
-      assert(gotC == Seq(0), name)
-    }
-  }
 }

@@ -96,16 +96,6 @@ class HbsSpec extends AnyFunSuite {
     assert(hbs.opsCost > before)
   }
 
-  test("deepCopy is independent") {
-    val hbs = new Hbs
-    hbs.insert(1, 4)
-    val c = hbs.deepCopy()
-    c.insert(2, 4)
-    val keys = Map(1 -> 4, 2 -> 4)
-    assert(hbs.extractForRound(4, keys(_), _ => true).toSeq == Seq(1))
-    assert(c.extractForRound(4, keys(_), _ => true).toSeq == Seq(1, 2))
-  }
-
   test("totalEntries counts live + stale copies") {
     val hbs = new Hbs
     hbs.insert(1, 8)
