@@ -29,15 +29,10 @@ object Csr {
   /** lo bound of partition p for n vertices over nParts ranges. */
   @inline def boundOf(p: Int, n: Int, nParts: Int): Int = ((p.toLong * n) / nParts).toInt
 
-  /** Owner partition of vertex v (inverse of the contiguous range split). */
-  @inline def ownerOf(v: Int, n: Int, nParts: Int): Int = {
-    var p = (((v.toLong + 1) * nParts - 1) / n).toInt
-    if (p >= nParts) p = nParts - 1
-    // The closed form can be off by one at range borders; nudge.
-    while (p > 0 && boundOf(p, n, nParts) > v) p -= 1
-    while (p < nParts - 1 && boundOf(p + 1, n, nParts) <= v) p += 1
-    p
-  }
+  /** Owner partition of vertex v in [0, n): the largest p with boundOf(p) ≤ v.
+    * ⌊p·n/nParts⌋ ≤ v holds iff p·n < (v + 1)·nParts, so the closed form is exact.
+    */
+  @inline def ownerOf(v: Int, n: Int, nParts: Int): Int = (((v.toLong + 1) * nParts - 1) / n).toInt
 
   final class PidPartitioner(val nParts: Int, val n: Int) extends Partitioner {
     def numPartitions: Int = nParts

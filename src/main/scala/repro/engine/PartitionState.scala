@@ -5,8 +5,8 @@ import repro.structures.{BucketStrategy, FixedBucketsStrategy, HierarchicalStrat
 
 /** The mutable per-partition state of the peeling engine. One instance per
   * logical partition (pid); a Spark task may host several of them. Each
-  * subround advances it in place: the Spark exchange keeps it in a cached
-  * block for the whole run.
+  * subround advances it in place ([[advance]]): the Spark exchange keeps it
+  * in a cached block for the whole run.
   *
   * Arrays are indexed by local id (global − lo) except `peeled`, which is a
   * bitset over all n vertices — each partition tracks the *global* processed
@@ -16,6 +16,7 @@ import repro.structures.{BucketStrategy, FixedBucketsStrategy, HierarchicalStrat
   */
 final class PartitionState(
     val g: PartitionGraph,
+    val cfg: KCoreConfig,
     val deg: Array[Int],
     val core: Array[Int],            // -1 until assigned to a frontier
     val peeled: Array[Long],         // global bitset: decrements already issued
@@ -27,20 +28,56 @@ final class PartitionState(
     var sampledOwned: Array[Int],    // owned global ids possibly in sample mode (lazily filtered)
     val strategy: BucketStrategy,
     val dir: java.util.HashMap[Integer, java.lang.Double], // replica of the global sampler directory
-    var peeledOwnedCount: Int) extends Serializable {
+    var peeledOwnedCount: Int,
+    private var out: SubroundOut) extends Serializable {
+  import PartitionState.InProgress
+
+  private var steps = 0 // subrounds run so far, or InProgress
 
   @inline def li(v: Int): Int = v - g.lo
   @inline def isPeeledBit(v: Int): Boolean = (peeled(v >>> 6) & (1L << (v & 63))) != 0
   @inline def setPeeledBit(v: Int): Unit = peeled(v >>> 6) |= (1L << (v & 63))
+
+  /** The output of the last subround, or of init before the first. */
+  def lastOut: SubroundOut = out
+
+  /** Runs subround s = `in.subroundIndex` in place, at most once, since a
+    * task may run twice on the same states (a retried or re-executed task):
+    * a state already at step s + 1 returns its recorded output; a state at
+    * step s is marked in progress, advanced, then stamped s + 1; any other
+    * state throws (see [[expect]]).
+    */
+  def advance(in: SubroundIn): SubroundOut = {
+    val s = in.subroundIndex
+    if (steps != s + 1) {
+      expect(s)
+      steps = InProgress
+      out = SubroundProcessor.process(this, in)
+      steps = s + 1
+    }
+    out
+  }
+
+  /** The coreness of the owned vertices, once `s` subrounds have run. */
+  def coreAt(s: Int): Array[Int] = { expect(s); core }
+
+  /** A step left in progress by a failed task, or a block evicted and re-read
+    * at an older step, fails loudly instead of giving a wrong coreness.
+    */
+  private def expect(s: Int): Unit = if (steps != s) {
+    val at = if (steps == InProgress) "a step in progress" else s"step $steps"
+    throw new IllegalStateException(s"partition ${g.pid}: state at $at, expected step $s")
+  }
 }
 
 object PartitionState {
+  private final val InProgress = -1
 
-  /** Fresh state for one partition under `cfg`. Returns the state plus an
-    * output that carries this partition's initial sampler-directory entries
-    * (vertices put into sample mode at k = 0), the first subround's input.
+  /** Fresh state for one partition under `cfg`. Its [[PartitionState.lastOut]]
+    * carries this partition's initial sampler-directory entries (vertices put
+    * into sample mode at k = 0), part of the first subround's input.
     */
-  def init(g: PartitionGraph, cfg: KCoreConfig): (PartitionState, SubroundOut) = {
+  def init(g: PartitionGraph, cfg: KCoreConfig): PartitionState = {
     val nOwned = g.nOwned
     val deg = Array.tabulate(nOwned)(g.degreeLocal)
     val core = Array.fill(nOwned)(-1)
@@ -54,8 +91,7 @@ object PartitionState {
       case FixedBuckets => new FixedBucketsStrategy
       case Hierarchical => new HierarchicalStrategy(KCoreConfig.Theta)
     }
-    val owned = Array.tabulate(nOwned)(i => g.lo + i)
-    strategy.init(owned, v => deg(v - g.lo))
+    strategy.init(Array.tabulate(nOwned)(g.lo + _))
     val dir = new java.util.HashMap[Integer, java.lang.Double]()
     val dirV = new scala.collection.mutable.ArrayBuilder.ofInt
     val dirRate = new scala.collection.mutable.ArrayBuilder.ofDouble
@@ -73,9 +109,8 @@ object PartitionState {
         i += 1
       }
     }
-    val st = new PartitionState(g, deg, core, peeled, mode, cnt, rate,
-      Array.emptyIntArray, Array.emptyIntArray, sampled.result(), strategy, dir, 0)
     val e = Array.emptyIntArray
-    (st, SubroundOut(g.pid, e, null, e, e, dirV.result(), dirRate.result(), SubCounters.Zero, error = false))
+    val out = SubroundOut(g.pid, e, null, e, e, dirV.result(), dirRate.result(), SubCounters.Zero, error = false)
+    new PartitionState(g, cfg, deg, core, peeled, mode, cnt, rate, e, e, sampled.result(), strategy, dir, 0, out)
   }
 }

@@ -57,8 +57,8 @@ private[engine] trait Exchange {
   /** Fresh states; the outputs carry the k = 0 sampler-directory entries. */
   def init(): Array[SubroundOut]
   def step(in: SubroundIn): Array[SubroundOut]
-  /** Coreness of every vertex, from the states of the last step. */
-  def gather(): Array[Int]
+  /** Coreness of every vertex, from states that have run `steps` subrounds. */
+  def gather(steps: Int): Array[Int]
   /** Drops what the exchange still holds; for an attempt the loop abandons. */
   def release(): Unit
 }
@@ -147,7 +147,7 @@ object PeelEngine {
       else if (roundStart) k += 1
     }
 
-    Some((ex.gather(), RunMetrics(cfg.name, 0, rounds, sub, rhoPrime, total.work, total.edgeTraversals,
+    Some((ex.gather(sub), RunMetrics(cfg.name, 0, rounds, sub, rhoPrime, total.work, total.edgeTraversals,
       total.structOps, total.histogramOps, total.decMsgs, total.hitMsgs, total.localDecs,
       total.inboundApplied, total.maxInboundPerVertex, spanOps, maxSampled, 0)))
   }
@@ -155,12 +155,12 @@ object PeelEngine {
 
 /** Each call is one Spark job over `hosted`, whose tasks may each host
   * several partitions (tests vary their number). The init job builds one
-  * [[SparkExchange.Resident]] per partition and `localCheckpoint`s them: the
-  * only checkpoint. It cuts the lineage once, so no later task ships the
-  * graph's source partitions, and the blocks stay cached, deserialised, for
-  * the whole attempt. Each step is a job on that same RDD that advances every
-  * state in place: it builds no RDD and copies no state. Its input, every
-  * partition's previous output, rides in the step's task function.
+  * [[PartitionState]] per partition and `localCheckpoint`s them: the only
+  * checkpoint. It cuts the lineage once, so no later task ships the graph's
+  * source partitions, and the blocks stay cached, deserialised, for the whole
+  * attempt. Each step is a job on that same RDD that advances every state in
+  * place: it builds no RDD and copies no state. Its input, every partition's
+  * previous output, rides in the step's task function.
   *
   * Every function handed to Spark is a named class, not a lambda: Spark's
   * closure cleaner returns at once for those, where for a lambda it reads and
@@ -169,88 +169,46 @@ object PeelEngine {
   */
 private[engine] final class SparkExchange(hosted: RDD[PartitionGraph], cfg: KCoreConfig) extends Exchange {
   import SparkExchange._
-  private[engine] var resident: RDD[Resident] = _ // read by tests
-  private var reached = 0 // the step every resident state should be at
+  private[engine] var states: RDD[PartitionState] = _ // read by tests
 
-  /** One job over all of `resident`'s partitions; each task's array, in partition order. */
-  private def job[U: ClassTag](what: String, f: (TaskContext, Iterator[Resident]) => Array[U]): Array[U] = {
+  /** One job over all of `states`' partitions; each task's array, in partition order. */
+  private def job[U: ClassTag](what: String, f: (TaskContext, Iterator[PartitionState]) => Array[U]): Array[U] = {
     hosted.sparkContext.setJobDescription(s"kcore ${cfg.name} $what")
-    val parts = new Array[Array[U]](resident.getNumPartitions)
-    hosted.sparkContext.runJob(resident, f, parts.indices, (i: Int, a: Array[U]) => parts(i) = a)
+    val parts = new Array[Array[U]](states.getNumPartitions)
+    hosted.sparkContext.runJob(states, f, parts.indices, (i: Int, a: Array[U]) => parts(i) = a)
     parts.flatten
   }
 
   // The init job takes the checkpoint as it runs: no extra job.
   def init(): Array[SubroundOut] = {
-    resident = hosted.mapPartitions(Init(cfg), preservesPartitioning = true).localCheckpoint()
+    states = hosted.mapPartitions(Init(cfg), preservesPartitioning = true).localCheckpoint()
     job("init", Outputs).sortBy(_.pid)
   }
 
-  def step(in: SubroundIn): Array[SubroundOut] = {
-    reached = in.subroundIndex + 1
-    job(s"k=${in.k} sub=${in.subroundIndex}", Step(in, cfg)).sortBy(_.pid)
-  }
+  def step(in: SubroundIn): Array[SubroundOut] =
+    job(s"k=${in.k} sub=${in.subroundIndex}", Step(in)).sortBy(_.pid)
 
   // The pid ranges are contiguous and cover [0, n) in pid order.
-  def gather(): Array[Int] =
-    try job("gather", Cores(reached)).sortBy(_._1).flatMap(_._2)
+  def gather(steps: Int): Array[Int] =
+    try job("gather", Cores(steps)).sortBy(_._1).flatMap(_._2)
     finally release()
 
-  def release(): Unit = resident.unpersist(false)
+  def release(): Unit = states.unpersist(false)
 }
 
 private[engine] object SparkExchange {
-  private final val InProgress = -1
-
-  /** One partition's state as its cached block holds it, with the number of
-    * subrounds it has run and the output of the last one (of init at first).
-    */
-  private[engine] final class Resident(val st: PartitionState, private var out: SubroundOut) extends Serializable {
-    private var steps = 0
-
-    /** Runs subround s = `in.subroundIndex` on the state in place, at most
-      * once. This replaces a copy as the guard against task retries: a state
-      * already at step s + 1 (a re-executed task) returns its recorded
-      * output; a state at step s is marked in progress, advanced, then
-      * stamped s + 1; any other state throws (see [[expect]]).
-      */
-    def advance(in: SubroundIn, cfg: KCoreConfig): SubroundOut = {
-      val s = in.subroundIndex
-      if (steps == s + 1) out
-      else {
-        expect(s)
-        injectFault(st.g.pid, in, afterAdvance = false)
-        steps = InProgress
-        out = SubroundProcessor.process(st, in, cfg)
-        steps = s + 1
-        injectFault(st.g.pid, in, afterAdvance = true)
-        out
-      }
-    }
-
-    def lastOut: SubroundOut = out
-
-    def core(s: Int): Array[Int] = { expect(s); st.core }
-
-    /** A step left in progress by a failed task, or a block evicted and re-read
-      * at an older step, fails the job loudly instead of giving a wrong coreness.
-      */
-    private def expect(s: Int): Unit = if (steps != s) {
-      val at = if (steps == InProgress) "a step in progress" else s"step $steps"
-      throw new IllegalStateException(s"partition ${st.g.pid}: state at $at, expected step $s")
-    }
+  private final case class Init(cfg: KCoreConfig) extends (Iterator[PartitionGraph] => Iterator[PartitionState]) {
+    def apply(it: Iterator[PartitionGraph]): Iterator[PartitionState] = it.map(PartitionState.init(_, cfg))
   }
 
-  private final case class Init(cfg: KCoreConfig) extends (Iterator[PartitionGraph] => Iterator[Resident]) {
-    def apply(it: Iterator[PartitionGraph]): Iterator[Resident] = it.map { g =>
-      val (st, out) = PartitionState.init(g, cfg)
-      new Resident(st, out)
-    }
-  }
-
-  private final case class Step(in: SubroundIn, cfg: KCoreConfig)
-      extends ((TaskContext, Iterator[Resident]) => Array[SubroundOut]) {
-    def apply(tc: TaskContext, it: Iterator[Resident]): Array[SubroundOut] = it.map(_.advance(in, cfg)).toArray
+  private final case class Step(in: SubroundIn)
+      extends ((TaskContext, Iterator[PartitionState]) => Array[SubroundOut]) {
+    def apply(tc: TaskContext, it: Iterator[PartitionState]): Array[SubroundOut] = it.map { st =>
+      injectFault(st.g.pid, in, afterAdvance = false)
+      val out = st.advance(in)
+      injectFault(st.g.pid, in, afterAdvance = true)
+      out
+    }.toArray
   }
 
   /** Test-only: the task that steps partition 0 at subround `sub` throws,
@@ -266,12 +224,12 @@ private[engine] object SparkExchange {
       throw new RuntimeException(s"injected fault: partition 0, subround ${f.sub}, afterAdvance ${f.afterAdvance}")
   }
 
-  private object Outputs extends ((TaskContext, Iterator[Resident]) => Array[SubroundOut]) with Serializable {
-    def apply(tc: TaskContext, it: Iterator[Resident]): Array[SubroundOut] = it.map(_.lastOut).toArray
+  private object Outputs extends ((TaskContext, Iterator[PartitionState]) => Array[SubroundOut]) with Serializable {
+    def apply(tc: TaskContext, it: Iterator[PartitionState]): Array[SubroundOut] = it.map(_.lastOut).toArray
   }
 
-  private final case class Cores(steps: Int) extends ((TaskContext, Iterator[Resident]) => Array[(Int, Array[Int])]) {
-    def apply(tc: TaskContext, it: Iterator[Resident]): Array[(Int, Array[Int])] =
-      it.map(r => (r.st.g.pid, r.core(steps))).toArray
+  private final case class Cores(steps: Int) extends ((TaskContext, Iterator[PartitionState]) => Array[(Int, Array[Int])]) {
+    def apply(tc: TaskContext, it: Iterator[PartitionState]): Array[(Int, Array[Int])] =
+      it.map(st => (st.g.pid, st.coreAt(steps))).toArray
   }
 }

@@ -1,16 +1,18 @@
 package repro.engine
 
-import repro.core.{KCoreConfig, Offline, Online}
+import repro.core.{Offline, Online}
 import scala.collection.mutable.ArrayBuilder
 
-/** Executes one subround for one partition (what an exchange's step runs on
-  * every state). Mutates the state in place (the Spark exchange runs it at
-  * most once per state and subround) and returns the partition's `SubroundOut`.
+/** Executes one subround for one partition under the state's own config.
+  * Mutates the state in place and returns the partition's `SubroundOut`;
+  * exchanges reach it only through [[PartitionState.advance]], which runs it
+  * at most once per state and subround.
   *
   * Step order matters for the two-phase sampling exit protocol — see
   * DESIGN.md §5:
   *   0. apply every partition's sampler-directory changes, in order,
-  *   1. apply every partition's newly peeled vertices to the bitmap,
+  *   1. apply every partition's newly peeled vertices to the bitmap
+  *      (0 and 1 touch disjoint state, so they share one pass per output),
   *   2. apply the explicit decrements to owned targets (crossings join
   *      this frontier),
   *   3. apply the sample hits to owned targets (may schedule exits),
@@ -32,7 +34,8 @@ object SubroundProcessor {
     def clear(): Unit = size = 0
   }
 
-  def process(st: PartitionState, in: SubroundIn, cfg: KCoreConfig): SubroundOut = {
+  def process(st: PartitionState, in: SubroundIn): SubroundOut = {
+    val cfg = st.cfg
     val g = st.g
     val pid = g.pid
     val n = g.n
@@ -77,9 +80,9 @@ object SubroundProcessor {
       pendingNext += v
     }
 
-    // --- step 0: sampler-directory changes ----------------------------------
-    // Applied in the order they were made: a vertex that re-enters sample
-    // mode and exits again in one subround ends up absent.
+    // --- steps 0–1: sampler-directory changes, peeled-bitmap delta ----------
+    // Directory changes apply in the order they were made: a vertex that
+    // re-enters sample mode and exits again in one subround ends up absent.
     in.outs.foreach { o =>
       var x = 0
       while (x < o.dirV.length) {
@@ -87,11 +90,7 @@ object SubroundProcessor {
         if (o.dirRate(x) == 0.0) st.dir.remove(v) else st.dir.put(v, java.lang.Double.valueOf(o.dirRate(x)))
         x += 1
       }
-    }
-
-    // --- step 1: peeled-bitmap delta ----------------------------------------
-    in.outs.foreach { o =>
-      var x = 0
+      x = 0
       while (x < o.newlyPeeled.length) { st.setPeeledBit(o.newlyPeeled(x)); x += 1 }
     }
 
@@ -108,19 +107,13 @@ object SubroundProcessor {
           val j = st.li(t)
           inb(j) += c
           if (inb(j) > maxInbound) maxInbound = inb(j)
-          if (st.core(j) == -1) {
-            if (st.mode(j) == 1) {
-              // In-flight decrement to a vertex that just entered sample mode —
-              // apply it; the degree stays a conservative upper bound.
-              st.deg(j) -= c
-              st.strategy.onDecrease(t, st.deg(j))
-            } else if (st.mode(j) == 2) {
-              // Recount pending; these peels are covered by the bitmap.
-            } else {
-              st.deg(j) -= c
-              st.strategy.onDecrease(t, st.deg(j))
-              if (st.deg(j) <= k) { st.core(j) = k; roots.add(t) }
-            }
+          // Mode 2 (recount pending) skips it: the bitmap covers these peels.
+          // Mode 1 (just entered sample mode) applies it, so the degree stays
+          // a conservative upper bound, but does not peel on it.
+          if (st.core(j) == -1 && st.mode(j) != 2) {
+            st.deg(j) -= c
+            st.strategy.onDecrease(t, st.deg(j))
+            if (st.mode(j) == 0 && st.deg(j) <= k) { st.core(j) = k; roots.add(t) }
           }
         }
         x += 1

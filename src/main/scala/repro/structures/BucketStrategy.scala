@@ -17,7 +17,7 @@ import scala.collection.mutable.ArrayBuilder
   * `ops` counts structure operations (scans + inserts) for the cost model.
   */
 sealed trait BucketStrategy extends Serializable {
-  def init(owned: Array[Int], degOf: Int => Int): Unit
+  def init(owned: Array[Int]): Unit
   /** Hook on every induced-degree decrement of an owned vertex. */
   def onDecrease(v: Int, newKey: Int): Unit
   /** Frontier for round k: alive, selectable owned vertices with current
@@ -34,7 +34,7 @@ final class ScanAllStrategy extends BucketStrategy {
   private var owned: Array[Int] = Array.emptyIntArray
   private var opsCount: Long = 0L
 
-  def init(o: Array[Int], degOf: Int => Int): Unit = { owned = o }
+  def init(o: Array[Int]): Unit = { owned = o }
   def onDecrease(v: Int, newKey: Int): Unit = ()
   def extract(k: Int, degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Array[Int] = {
     opsCount += owned.length
@@ -55,7 +55,7 @@ final class OneBucketStrategy extends BucketStrategy {
   private[structures] var active: Array[Int] = Array.emptyIntArray
   private var opsCount: Long = 0L
 
-  def init(o: Array[Int], degOf: Int => Int): Unit = { active = o.clone() }
+  def init(o: Array[Int]): Unit = { active = o.clone() }
   def onDecrease(v: Int, newKey: Int): Unit = ()
   def extract(k: Int, degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Array[Int] = {
     opsCount += active.length
@@ -89,7 +89,7 @@ final class FixedBucketsStrategy extends BucketStrategy {
   private var windowStart: Int = -1 // k of the last rebuild; -1 = not built
   private var opsCount: Long = 0L
 
-  def init(o: Array[Int], degOf: Int => Int): Unit = { active = o.clone() }
+  def init(o: Array[Int]): Unit = { active = o.clone() }
 
   private def pushBucket(i: Int, v: Int): Unit = {
     if (bucketSz(i) == buckets(i).length)
@@ -151,7 +151,7 @@ final class HierarchicalStrategy(val theta: Int) extends BucketStrategy {
   private var hbs: Hbs = null
   private var switched = false
 
-  def init(o: Array[Int], degOf: Int => Int): Unit = one.init(o, degOf)
+  def init(o: Array[Int]): Unit = one.init(o)
 
   def onDecrease(v: Int, newKey: Int): Unit =
     if (switched) hbs.decreaseKey(v, newKey) else one.onDecrease(v, newKey)

@@ -26,9 +26,9 @@ final class Hbs extends Serializable {
   import Hbs._
 
   // singles(s) holds keys ≡ s (mod 8) within the current window [k, k+8).
-  private var singles: Array[Array[Long]] = Array.fill(8)(EmptyArr)
+  private val singles: Array[Array[Long]] = Array.fill(8)(EmptyArr)
   private val singleSz: Array[Int] = new Array[Int](8)
-  private var ranged: Array[Array[Long]] = Array.fill(NRanged)(EmptyArr)
+  private val ranged: Array[Array[Long]] = Array.fill(NRanged)(EmptyArr)
   private val rangedSz: Array[Int] = new Array[Int](NRanged)
   private val rangedMin: Array[Int] = Array.fill(NRanged)(Int.MaxValue)
   private var k: Int = 0
@@ -43,24 +43,23 @@ final class Hbs extends Serializable {
     */
   def bucketIdx(d: Int): Int = if (d < 8) math.max(0, d) else 8 + rangedIdx(d)
 
-  private def push(store: Array[Array[Long]], szs: Array[Int], b: Int, e: Long): Array[Array[Long]] = {
+  private def push(store: Array[Array[Long]], szs: Array[Int], b: Int, e: Long): Unit = {
     if (szs(b) == store(b).length) {
       val cap = math.max(8, store(b).length * 2)
       store(b) = java.util.Arrays.copyOf(store(b), cap)
     }
     store(b)(szs(b)) = e
     szs(b) += 1
-    store
   }
 
   def insert(v: Int, key: Int): Unit = {
     opsCost += 1
     val e = pack(v, key)
     val d = key - k
-    if (d < 8) singles = push(singles, singleSz, ((key % 8) + 8) % 8, e)
+    if (d < 8) push(singles, singleSz, ((key % 8) + 8) % 8, e)
     else {
       val b = rangedIdx(d)
-      ranged = push(ranged, rangedSz, b, e)
+      push(ranged, rangedSz, b, e)
       if (key < rangedMin(b)) rangedMin(b) = key
     }
   }

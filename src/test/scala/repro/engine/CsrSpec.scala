@@ -13,6 +13,13 @@ class CsrSpec extends SparkSpec {
           s"n=$n p=$p v=$v owner=$owner")
       }
     }
+    // The vertices on either side of every border, where Long arithmetic matters.
+    val n = Int.MaxValue
+    for (p <- Seq(16, 17); b <- 1 until p) {
+      val lo = Csr.boundOf(b, n, p)
+      assert(Csr.ownerOf(lo - 1, n, p) == b - 1, s"n=$n p=$p v=${lo - 1}")
+      assert(Csr.ownerOf(lo, n, p) == b, s"n=$n p=$p v=$lo")
+    }
   }
 
   test("bounds partition the vertex range exactly") {

@@ -239,7 +239,7 @@ class EngineSpec extends SparkSpec {
       assert(first.exists(_.newlyPeeled.nonEmpty), "the step peeled nothing")
       assert(first.toSeq.map(render) == second.toSeq.map(render), "the re-executed step gave other outputs")
       assert(first.toSeq.map(render) == local.step(in).toSeq.map(render), "outputs differ from LocalExchange's")
-      val states = ex.resident.map(_.st).collect().sortBy(_.g.pid).toSeq.map(render)
+      val states = ex.states.collect().sortBy(_.g.pid).toSeq.map(render)
       assert(states == local.states.toSeq.map(render), "the states differ from LocalExchange's after one step")
       val skip = intercept[SparkException](ex.step(in.copy(roundStart = false, subroundIndex = 5)))
       assert("partition \\d+: state at step 1, expected step 5".r.findFirstIn(skip.getMessage).nonEmpty, skip.getMessage)
@@ -247,6 +247,18 @@ class EngineSpec extends SparkSpec {
       ex.release()
       h.unpersist()
     }
+  }
+
+  test("LocalExchange steps through the same guard: a re-executed step returns its recorded outputs; a step out of order fails") {
+    val g = TestGraphs.hubby(1500, 3, 0.3, 6)
+    val cfg = KCoreConfig.ours.copy(sampling = Some(SamplingParams(threshold = 100)))
+    val local = new LocalExchange(Csr.buildLocal(g, 4), cfg)
+    val in = SubroundIn((0 until g.n).map(g.degree).min, roundStart = true, 0, local.init())
+    val first = local.step(in)
+    assert(first.exists(_.newlyPeeled.nonEmpty), "the step peeled nothing")
+    assert(first.toSeq.map(render) == local.step(in).toSeq.map(render), "the re-executed step gave other outputs")
+    val skip = intercept[IllegalStateException](local.step(in.copy(roundStart = false, subroundIndex = 5)))
+    assert(skip.getMessage == "partition 0: state at step 1, expected step 5", skip.getMessage)
   }
 
   test("a task that fails once, before or after its state advances, is retried to the failure-free result") {
@@ -397,7 +409,7 @@ class EngineSpec extends SparkSpec {
         ((core.toSeq == SeqKCore.bz(g).toSeq) :| "coreness == BZ" &&
           (m.edgeTraversals == g.adj.length.toLong) :| "edgeTraversals == 2m" &&
           (m.subroundsNonEmpty <= m.subrounds) :| "rho' <= subrounds" &&
-          (ex.last.map(_.counters.peeledOwnedTotal).sum == g.n) :| "peeled == n") :|
+          (ex.states.map(_.lastOut.counters.peeledOwnedTotal).sum == g.n) :| "peeled == n") :|
           s"${cfg.name} on $gname, nParts $nParts"
     }
     val params = SCTest.Parameters.default.withMinSuccessfulTests(80).withInitialSeed(Seed(20250))

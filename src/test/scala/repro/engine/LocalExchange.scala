@@ -4,20 +4,15 @@ import repro.core.KCoreConfig
 import repro.graph.LocalGraph
 
 /** Runs every partition in the calling thread, in pid order: the peel loop
-  * without Spark. The kernel mutates the states in place; nothing reads an
-  * old state again, so no copy is needed. `last` holds the latest outputs.
+  * without Spark. It steps the states through [[PartitionState.advance]],
+  * the same guarded path as the Spark exchange.
   */
 final class LocalExchange(parts: Array[PartitionGraph], cfg: KCoreConfig) extends Exchange {
   var states: Array[PartitionState] = _
-  var last: Array[SubroundOut] = _
 
-  def init(): Array[SubroundOut] = {
-    val (st, outs) = parts.map(PartitionState.init(_, cfg)).unzip
-    states = st
-    outs
-  }
-  def step(in: SubroundIn): Array[SubroundOut] = { last = states.map(SubroundProcessor.process(_, in, cfg)); last }
-  def gather(): Array[Int] = states.flatMap(_.core)
+  def init(): Array[SubroundOut] = { states = parts.map(PartitionState.init(_, cfg)); states.map(_.lastOut) }
+  def step(in: SubroundIn): Array[SubroundOut] = states.map(_.advance(in))
+  def gather(steps: Int): Array[Int] = states.flatMap(_.coreAt(steps))
   def release(): Unit = ()
 }
 

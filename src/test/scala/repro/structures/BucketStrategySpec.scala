@@ -28,7 +28,7 @@ class BucketStrategySpec extends AnyFunSuite {
     val dead = new Array[Boolean](n)
     val sel = new Array[Boolean](n).map(_ => true)
     val s = mkStrategy(name)
-    s.init(Array.range(0, n), key(_))
+    s.init(Array.range(0, n))
     (0 to maxKey).foreach { k =>
       (0 until 15).foreach { _ =>
         val v = rng.nextInt(n)
@@ -56,7 +56,7 @@ class BucketStrategySpec extends AnyFunSuite {
       val dead = Array(false, false, false)
       val sampled = Array(false, true, false)
       val s = mkStrategy(name)
-      s.init(Array(0, 1, 2), key(_))
+      s.init(Array(0, 1, 2))
       (0 to 2).foreach { k =>
         val got = s.extract(k, key(_), v => !dead(v), v => !sampled(v)).sorted.toSeq
         if (k == 2) assert(got == Seq(0, 2)) else assert(got.isEmpty)
@@ -73,7 +73,7 @@ class BucketStrategySpec extends AnyFunSuite {
 
   test("ops counters increase with extraction work") {
     val s = new ScanAllStrategy
-    s.init(Array.range(0, 100), _ => 5)
+    s.init(Array.range(0, 100))
     val before = s.ops
     s.extract(0, _ => 5, _ => true, _ => true)
     assert(s.ops - before == 100)
@@ -84,8 +84,8 @@ class BucketStrategySpec extends AnyFunSuite {
     val key = Array.fill(n)(1)
     val deadA = new Array[Boolean](n)
     val deadB = new Array[Boolean](n)
-    val a = new ScanAllStrategy; a.init(Array.range(0, n), key(_))
-    val b = new OneBucketStrategy; b.init(Array.range(0, n), key(_))
+    val a = new ScanAllStrategy; a.init(Array.range(0, n))
+    val b = new OneBucketStrategy; b.init(Array.range(0, n))
     // Round 0: nothing peels. Round 1: all peel. Round 2..5: empty.
     (0 to 5).foreach { k =>
       a.extract(k, key(_), v => !deadA(v), _ => true).foreach(deadA(_) = true)
