@@ -21,8 +21,12 @@ final case class SubroundIn(
   * partitions is the subround's critical path (contention at a hot owner
   * shows up here because the owner applies its inbound messages serially).
   *
-  * The last four fields are the partition's state after the subround; the
-  * driver sums them over partitions to decide how the peel advances.
+  * The last five fields are the partition's state after the subround; the
+  * driver combines them over partitions to decide how the peel advances.
+  * `leastKey` is the least round k′ > k at which this partition could peel
+  * a vertex, if it is quiescent (no frontier, no pending recount, no message
+  * sent), else −1; `+` takes the min, so it is known for the whole graph
+  * only when every partition is quiescent, which is when a round ends.
   */
 final case class SubCounters(
     work: Long,
@@ -39,9 +43,12 @@ final case class SubCounters(
     localFrontierSize: Int,
     pendingRecounts: Int,
     peeledOwnedTotal: Int,
-    sampledNow: Int) extends Serializable {
+    sampledNow: Int,
+    leastKey: Int) extends Serializable {
 
-  /** Field-wise sum; the two per-vertex/per-chain maxima take the max. */
+  /** Field-wise sum; the two per-vertex/per-chain maxima take the max, and
+    * `leastKey` the min.
+    */
   def +(o: SubCounters): SubCounters = SubCounters(
     work + o.work, edgeTraversals + o.edgeTraversals, decMsgs + o.decMsgs,
     hitMsgs + o.hitMsgs, localDecs + o.localDecs, structOps + o.structOps,
@@ -49,7 +56,7 @@ final case class SubCounters(
     math.max(maxInboundPerVertex, o.maxInboundPerVertex), math.max(maxChainOps, o.maxChainOps),
     frontierProcessed + o.frontierProcessed, localFrontierSize + o.localFrontierSize,
     pendingRecounts + o.pendingRecounts, peeledOwnedTotal + o.peeledOwnedTotal,
-    sampledNow + o.sampledNow)
+    sampledNow + o.sampledNow, math.min(leastKey, o.leastKey))
 
   /** This partition's critical path in the subround: the longest serial
     * chain (a single local search — unbounded for PKC, ≤128 for VGC) plus
@@ -61,7 +68,7 @@ final case class SubCounters(
 }
 
 object SubCounters {
-  val Zero: SubCounters = SubCounters(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+  val Zero: SubCounters = SubCounters(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, Int.MaxValue)
 }
 
 /** Output of one partition for one subround. Message targets are global

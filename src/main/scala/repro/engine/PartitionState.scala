@@ -58,6 +58,30 @@ final class PartitionState(
     out
   }
 
+  /** The least round k′ > k in which this partition could peel a vertex, for
+    * a state quiescent at round k: the least [[keyOf]] its owned vertices
+    * have. The bucket structure answers for the vertices out of sample mode
+    * and charges its ops; the rest are read from `sampledOwned`.
+    */
+  private[engine] def leastKey(k: Int): Int = {
+    var least = strategy.minKey(v => deg(li(v)), v => core(li(v)) == -1, v => mode(li(v)) == 0)
+    var i = 0
+    while (i < sampledOwned.length) { least = math.min(least, keyOf(sampledOwned(i), k)); i += 1 }
+    least
+  }
+
+  /** The least round k′ > k in which owned vertex `v`, alive at a quiescent
+    * point of round k, could peel: its degree out of sample mode; in sample
+    * mode, the first round whose validation it fails, since no hit reaches
+    * it in the rounds between. `Int.MaxValue` for a vertex already assigned.
+    */
+  private[engine] def keyOf(v: Int, k: Int): Int = {
+    val j = li(v)
+    if (core(j) != -1) Int.MaxValue
+    else if (mode(j) == 1) cfg.sampling.get.firstFailing(deg(j), k, cnt(j), rateArr(j))
+    else deg(j)
+  }
+
   /** The coreness of the owned vertices, once `s` subrounds have run. */
   def coreAt(s: Int): Array[Int] = { expect(s); core }
 
@@ -75,7 +99,8 @@ object PartitionState {
 
   /** Fresh state for one partition under `cfg`. Its [[PartitionState.lastOut]]
     * carries this partition's initial sampler-directory entries (vertices put
-    * into sample mode at k = 0), part of the first subround's input.
+    * into sample mode at k = 0), part of the first subround's input, and the
+    * least key the first round may start at.
     */
   def init(g: PartitionGraph, cfg: KCoreConfig): PartitionState = {
     val nOwned = g.nOwned
@@ -110,7 +135,11 @@ object PartitionState {
       }
     }
     val e = Array.emptyIntArray
-    val out = SubroundOut(g.pid, e, null, e, e, dirV.result(), dirRate.result(), SubCounters.Zero, error = false)
-    new PartitionState(g, cfg, deg, core, peeled, mode, cnt, rate, e, e, sampled.result(), strategy, dir, 0, out)
+    val st = new PartitionState(g, cfg, deg, core, peeled, mode, cnt, rate, e, e, sampled.result(), strategy, dir, 0, null)
+    val least = st.leastKey(-1)
+    val counters = SubCounters.Zero.copy(work = strategy.ops + st.sampledOwned.length,
+      structOps = strategy.ops, leastKey = least)
+    st.out = SubroundOut(g.pid, e, null, e, e, dirV.result(), dirRate.result(), counters, error = false)
+    st
   }
 }

@@ -21,6 +21,9 @@ object CostWeights {
 /** Aggregated metrics of one parallel k-core run (feeds the cost model and
   * the table harnesses).
   *
+  * @param rounds            rounds run, one per key k visited: a round starts
+  *                          at the least key still in use, so k skips the
+  *                          keys no vertex has (ParK and PKC visit every k)
   * @param subrounds         total BSP subrounds executed (Spark jobs — each
   *                          one pays the scheduling overhead ω)
   * @param subroundsNonEmpty subrounds that peeled ≥ 1 vertex — the paper's
@@ -115,12 +118,14 @@ object PeelEngine {
     var outs = ex.init()
 
     // --- metrics accumulators ----------------------------------------------
-    var k = 0
+    // The init outputs carry the first least-key query: its cost, and the
+    // key the first round starts at.
+    var total = outs.iterator.map(_.counters).reduce(_ + _)
+    var k = math.max(0, total.leastKey)
     var sub = 0
     var roundStart = true
     var rounds = 0
     var rhoPrime = 0
-    var total = SubCounters.Zero
     var spanOps = 0L
     var maxSampled = 0
 
@@ -141,10 +146,12 @@ object PeelEngine {
       // --- advance ----------------------------------------------------------
       // A round ends when no partition has work or messages pending; the
       // next round's input is these outputs, which then carry no messages.
+      // The next round is the least key still in use: the rounds between
+      // would peel nothing. ScanAll answers 0, so ParK and PKC take k + 1.
       val noMsgs = outs.forall(o => o.decs.isEmpty && o.hits.isEmpty)
       roundStart = c.localFrontierSize == 0 && noMsgs && c.pendingRecounts == 0
       if (roundStart && c.peeledOwnedTotal >= n) done = true
-      else if (roundStart) k += 1
+      else if (roundStart) k = math.max(k + 1, c.leastKey)
     }
 
     Some((ex.gather(sub), RunMetrics(cfg.name, 0, rounds, sub, rhoPrime, total.work, total.edgeTraversals,

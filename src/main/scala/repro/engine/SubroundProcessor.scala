@@ -19,7 +19,9 @@ import scala.collection.mutable.ArrayBuilder
   *   4. on round start: extract the frontier from the bucket strategy and
   *      validate every sampled vertex,
   *   5. perform the exact recounts scheduled in the previous subround,
-  *   6. peel the frontier (with VGC chains in Online mode).
+  *   6. peel the frontier (with VGC chains in Online mode),
+  *   7. if the partition ends quiescent, find the least key it could peel
+  *      at in a later round ([[PartitionState.leastKey]]).
   */
 object SubroundProcessor {
 
@@ -80,6 +82,9 @@ object SubroundProcessor {
       pendingNext += v
     }
 
+    // Alive owned vertices whose key a message lowered (step 7 reads them).
+    val touched = new IntQueue(8)
+
     // --- steps 0–1: sampler-directory changes, peeled-bitmap delta ----------
     // Directory changes apply in the order they were made: a vertex that
     // re-enters sample mode and exits again in one subround ends up absent.
@@ -114,6 +119,7 @@ object SubroundProcessor {
             st.deg(j) -= c
             st.strategy.onDecrease(t, st.deg(j))
             if (st.mode(j) == 0 && st.deg(j) <= k) { st.core(j) = k; roots.add(t) }
+            else touched.add(t)
           }
         }
         x += 1
@@ -133,6 +139,7 @@ object SubroundProcessor {
           if (inb(j) > maxInbound) maxInbound = inb(j)
           if (st.core(j) == -1 && st.mode(j) == 1) {
             st.cnt(j) += 1
+            touched.add(t)
             if (st.cnt(j) >= mu) beginExit(t)
           }
         }
@@ -298,21 +305,45 @@ object SubroundProcessor {
     st.pendingRecount = pendingNext.result()
     val ns = newSampled.result()
     if (ns.nonEmpty) st.sampledOwned = st.sampledOwned ++ ns
+    val decsOut = decs.result()
+    val hitsOut = hits.result()
+
+    // --- step 7: least key of a later round ---------------------------------
+    // Only a quiescent partition can end the round. If it was quiescent in
+    // the last subround of this round too, and since then messages only
+    // lowered keys (no vertex peeled, recounted or left the structure), the
+    // least key is the last one or a touched vertex's; a last key of at most
+    // k + 1 (ScanAll's 0 among them) skips no round, so it stands.
+    val prevKey = st.lastOut.counters.leastKey
+    val leastKey =
+      if (st.frontier.nonEmpty || st.pendingRecount.nonEmpty || decsOut.nonEmpty || hitsOut.nonEmpty) -1
+      else if (prevKey >= 0 && !in.roundStart && toRecount.isEmpty && roots.size == 0) {
+        var least = prevKey
+        if (prevKey > k + 1) {
+          work += touched.size
+          i = 0
+          while (i < touched.size) { least = math.min(least, st.keyOf(touched(i), k)); i += 1 }
+        }
+        least
+      } else {
+        work += st.sampledOwned.length
+        st.leastKey(k)
+      }
 
     val structOps = st.strategy.ops - structOpsBefore
     work += structOps
 
     SubroundOut(
       pid,
-      decs.result(),
+      decsOut,
       if (decCounts == null) null else decCounts.result(),
-      hits.result(),
+      hitsOut,
       newlyPeeled.result(),
       dirV.result(),
       dirRate.result(),
       SubCounters(work, edgeTraversals, decMsgs, hitMsgs, localDecs, structOps,
         histogramOps, inboundApplied, maxInbound, maxChainOps, frontierProcessed,
-        st.frontier.length, st.pendingRecount.length, st.peeledOwnedCount, st.sampledOwned.length),
+        st.frontier.length, st.pendingRecount.length, st.peeledOwnedCount, st.sampledOwned.length, leastKey),
       error)
   }
 }

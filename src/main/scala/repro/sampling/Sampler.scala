@@ -29,4 +29,18 @@ final case class SamplingParams(threshold: Int = 512, r: Double = 0.1, c: Double
     */
   def validate(d: Int, k: Int, cnt: Int, rate: Double): Boolean =
     d * r > k && cnt < rate * (d - k) / 4.0
+
+  /** The least round k′ > k at which `validate` fails for these values. Both
+    * of its conditions only get harder as k grows, so it fails from k′ on;
+    * it fails at k′ = max(k + 1, d) at the latest, since cnt ≥ 0.
+    */
+  def firstFailing(d: Int, k: Int, cnt: Int, rate: Double): Int = {
+    var lo = k + 1
+    var hi = math.max(k + 1, d)
+    while (lo < hi) {
+      val mid = lo + (hi - lo) / 2
+      if (validate(d, mid, cnt, rate)) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
 }

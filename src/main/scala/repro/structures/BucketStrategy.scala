@@ -15,6 +15,9 @@ import scala.collection.mutable.ArrayBuilder
   *                            θ-core is reached, then switch to [[Hbs]].
   *
   * `ops` counts structure operations (scans + inserts) for the cost model.
+  *
+  * [[minKey]] lets the engine skip the rounds no vertex peels in: the next
+  * round starts at the least key still in use, not at k + 1.
   */
 sealed trait BucketStrategy extends Serializable {
   def init(owned: Array[Int]): Unit
@@ -26,10 +29,33 @@ sealed trait BucketStrategy extends Serializable {
     * a sampled vertex's stored degree is only an estimate.
     */
   def extract(k: Int, degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Array[Int]
+  /** The least current degree of an alive, selectable owned vertex, or
+    * `Int.MaxValue` if there is none; charged to [[ops]]. [[ScanAllStrategy]]
+    * answers 0, which the engine reads as "no round may be skipped".
+    */
+  def minKey(degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Int
   def ops: Long
 }
 
-/** No active set: every round scans all owned vertices (ParK / PKC). */
+object BucketStrategy {
+  /** The least degree of an alive, selectable vertex of `vs`, or `Int.MaxValue`. */
+  private[structures] def minDegree(vs: Array[Int], degOf: Int => Int, alive: Int => Boolean,
+                                    selectable: Int => Boolean): Int = {
+    var min = Int.MaxValue
+    var i = 0
+    while (i < vs.length) {
+      val v = vs(i)
+      if (alive(v) && selectable(v) && degOf(v) < min) min = degOf(v)
+      i += 1
+    }
+    min
+  }
+}
+
+/** No active set: every round scans all owned vertices (ParK / PKC). It
+  * keeps k + 1 as the next round: the O(kmax·n) rescan defines those
+  * baselines.
+  */
 final class ScanAllStrategy extends BucketStrategy {
   private var owned: Array[Int] = Array.emptyIntArray
   private var opsCount: Long = 0L
@@ -47,6 +73,7 @@ final class ScanAllStrategy extends BucketStrategy {
     }
     out.result()
   }
+  def minKey(degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Int = 0
   def ops: Long = opsCount
 }
 
@@ -72,6 +99,10 @@ final class OneBucketStrategy extends BucketStrategy {
     }
     active = keep.result()
     out.result()
+  }
+  def minKey(degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Int = {
+    opsCount += active.length
+    BucketStrategy.minDegree(active, degOf, alive, selectable)
   }
   def ops: Long = opsCount
 }
@@ -140,6 +171,32 @@ final class FixedBucketsStrategy extends BucketStrategy {
     Hbs.dedupSorted(out.result())
   }
 
+  /** The first window bucket holding a live, selectable copy, else the least
+    * key in the overflow. The stale copies it reads leave their bucket, so
+    * each is read once.
+    */
+  def minKey(degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Int = {
+    if (windowStart >= 0) {
+      var idx = 0
+      while (idx < b) {
+        val key = windowStart + idx
+        val arr = buckets(idx)
+        var i = 0
+        while (i < bucketSz(idx)) {
+          val v = arr(i)
+          opsCount += 1
+          if (!alive(v) || degOf(v) != key) { bucketSz(idx) -= 1; arr(i) = arr(bucketSz(idx)) }
+          else if (selectable(v)) return key
+          else i += 1
+        }
+        idx += 1
+      }
+    }
+    // No live, selectable copy in the window: every such key lies above it.
+    opsCount += active.length
+    BucketStrategy.minDegree(active, degOf, alive, selectable)
+  }
+
   def ops: Long = opsCount
 }
 
@@ -173,6 +230,10 @@ final class HierarchicalStrategy(val theta: Int) extends BucketStrategy {
     if (switched) hbs.extractForRound(k, degOf, v => alive(v) && selectable(v))
     else one.extract(k, degOf, alive, selectable)
   }
+
+  def minKey(degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Int =
+    if (switched) hbs.minKey(degOf, v => alive(v) && selectable(v))
+    else one.minKey(degOf, alive, selectable)
 
   def ops: Long = (if (one != null) one.ops else 0L) + (if (hbs != null) hbs.opsCost else 0L)
 }

@@ -112,6 +112,57 @@ final class Hbs extends Serializable {
     }
     Hbs.dedupSorted(out.result())
   }
+
+  /** The least current key of an `alive` vertex, or `Int.MaxValue`; keys
+    * are at least the last extracted round, as in the engine. It reads the
+    * single-key slots of [k, k+8) in key order, then the ranged buckets in
+    * order of `rangedMin`. The stale copies it reads leave their bucket, so
+    * each is read once.
+    */
+  def minKey(currentKey: Int => Int, alive: Int => Boolean): Int = {
+    var key = k
+    while (key < k + 8) {
+      // The slot's keys are ≡ key (mod 8) and below k + 8: only key can be live.
+      if (leastLive(singles, singleSz, ((key % 8) + 8) % 8, key, currentKey, alive) == key) return key
+      key += 1
+    }
+    // Every ranged key is ≥ k + 8, since the last extraction pulled down each
+    // ranged bucket whose rangedMin was smaller. A live copy at the smallest
+    // rangedMin is the answer; a bucket read to its end gets an exact one.
+    var least = -1
+    while (least < 0) {
+      var b = -1
+      var i = 0
+      while (i < NRanged) {
+        if (rangedSz(i) > 0 && (b < 0 || rangedMin(i) < rangedMin(b))) b = i
+        i += 1
+      }
+      if (b < 0) least = Int.MaxValue
+      else {
+        val read = leastLive(ranged, rangedSz, b, rangedMin(b), currentKey, alive)
+        if (read == rangedMin(b)) least = read else rangedMin(b) = read
+      }
+    }
+    least
+  }
+
+  /** Reads bucket `b` until a live copy with key ≤ `stopAt`, swapping each
+    * stale copy out for the last one; returns the least live key read, or
+    * `Int.MaxValue`. Read to its end, the bucket holds live copies only.
+    */
+  private def leastLive(store: Array[Array[Long]], szs: Array[Int], b: Int, stopAt: Int,
+                        currentKey: Int => Int, alive: Int => Boolean): Int = {
+    val arr = store(b)
+    var least = Int.MaxValue
+    var i = 0
+    while (i < szs(b) && least > stopAt) {
+      val e = arr(i); val v = unpackV(e); val key = unpackK(e)
+      opsCost += 1
+      if (alive(v) && currentKey(v) == key) { least = math.min(least, key); i += 1 }
+      else { szs(b) -= 1; arr(i) = arr(szs(b)) }
+    }
+    least
+  }
 }
 
 object Hbs {
