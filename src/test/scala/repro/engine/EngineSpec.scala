@@ -73,30 +73,30 @@ class EngineSpec extends SparkSpec {
   private def fingerprint(m: RunMetrics): String = m.copy(wallMillis = 0).toString
 
   private val expectedFingerprints: Map[(String, String), String] = Map(
-    ("Plain", "caterpillar") -> "RunMetrics(Plain,0.0,3,25,22,859,288,415,0,16,0,105,16,1,515,0,0)",
-    ("Plain", "clique-20") -> "RunMetrics(Plain,0.0,20,21,1,1100,380,400,0,300,0,0,300,15,980,0,0)",
-    ("Plain", "figure1") -> "RunMetrics(Plain,0.0,4,9,6,91,26,34,0,20,0,0,20,2,468,0,0)",
-    ("Plain", "grid-16x16") -> "RunMetrics(Plain,0.0,3,18,15,2080,960,768,0,96,0,416,96,1,839,0,0)",
-    ("Plain", "hcns-25") -> "RunMetrics(Plain,0.0,26,50,25,3264,1370,1180,0,604,0,1,604,24,3382,0,0)",
-    ("Plain", "path-50") -> "RunMetrics(Plain,0.0,2,27,25,254,98,100,0,6,0,46,6,1,327,0,0)",
-    ("Plain", "random-dense") -> "RunMetrics(Plain,0.0,21,40,19,14004,5512,4184,0,4108,0,476,4108,18,5017,0,0)",
-    ("Plain", "random-sparse") -> "RunMetrics(Plain,0.0,4,18,15,3862,1386,1138,0,1038,0,146,1038,3,2149,0,0)",
-    ("Ours", "caterpillar") -> "RunMetrics(Ours,0.0,3,6,3,859,288,415,0,16,0,105,16,2,365,0,0)",
-    ("Ours", "clique-20") -> "RunMetrics(Ours,0.0,20,21,1,780,380,80,0,300,0,0,300,15,980,0,0)",
-    ("Ours", "figure1") -> "RunMetrics(Ours,0.0,4,9,6,91,26,34,0,20,0,0,20,2,468,0,0)",
-    ("Ours", "grid-16x16") -> "RunMetrics(Ours,0.0,3,5,2,2080,960,768,0,96,0,416,96,1,729,0,0)",
-    ("Ours", "hcns-25") -> "RunMetrics(Ours,0.0,26,50,25,2619,1370,535,0,604,0,1,604,24,3382,0,0)",
-    ("Ours", "path-50") -> "RunMetrics(Ours,0.0,2,4,2,254,98,100,0,6,0,46,6,1,205,0,0)",
-    ("Ours", "random-dense") -> "RunMetrics(Ours,0.0,21,37,16,12766,5512,2946,0,4108,0,514,4108,22,4492,0,0)",
-    ("Ours", "random-sparse") -> "RunMetrics(Ours,0.0,4,15,12,3862,1386,1138,0,1038,0,156,1038,4,1903,0,0)",
-    ("Julienne", "caterpillar") -> "RunMetrics(Julienne,0.0,3,25,22,1790,288,520,288,266,0,0,288,2,1539,0,0)",
-    ("Julienne", "clique-20") -> "RunMetrics(Julienne,0.0,20,21,1,1320,380,80,380,80,0,0,380,19,1236,0,0)",
-    ("Julienne", "figure1") -> "RunMetrics(Julienne,0.0,4,9,6,148,26,38,26,21,0,0,26,3,532,0,0)",
-    ("Julienne", "grid-16x16") -> "RunMetrics(Julienne,0.0,3,18,15,4556,960,796,960,624,0,0,960,2,1928,0,0)",
-    ("Julienne", "hcns-25") -> "RunMetrics(Julienne,0.0,26,51,25,5205,1370,569,1370,416,0,0,1370,25,3574,0,0)",
-    ("Julienne", "path-50") -> "RunMetrics(Julienne,0.0,2,27,25,592,98,150,98,98,0,0,98,1,1674,0,0)",
-    ("Julienne", "random-dense") -> "RunMetrics(Julienne,0.0,21,40,19,21600,5512,1780,5512,3084,0,0,5512,21,5733,0,0)",
-    ("Julienne", "random-sparse") -> "RunMetrics(Julienne,0.0,4,18,15,6977,1386,1227,1386,1292,0,0,1386,4,2535,0,0)",
+    ("Plain", "caterpillar") -> "RunMetrics(Plain,0.0,2,24,22,1002,288,558,0,16,0,105,16,1,515,0,0)",
+    ("Plain", "clique-20") -> "RunMetrics(Plain,0.0,1,2,1,740,380,40,0,300,0,0,300,15,980,0,0)",
+    ("Plain", "figure1") -> "RunMetrics(Plain,0.0,4,9,6,130,26,71,0,20,0,0,20,2,468,0,0)",
+    ("Plain", "grid-16x16") -> "RunMetrics(Plain,0.0,1,16,15,2204,960,892,0,96,0,416,96,1,839,0,0)",
+    ("Plain", "hcns-25") -> "RunMetrics(Plain,0.0,25,49,25,4499,1370,2140,0,604,0,1,604,24,3382,0,0)",
+    ("Plain", "path-50") -> "RunMetrics(Plain,0.0,1,26,25,327,98,173,0,6,0,46,6,1,327,0,0)",
+    ("Plain", "random-dense") -> "RunMetrics(Plain,0.0,4,23,19,12169,5512,2309,0,4108,0,476,4108,18,5017,0,0)",
+    ("Plain", "random-sparse") -> "RunMetrics(Plain,0.0,4,18,15,5197,1386,2473,0,1038,0,146,1038,3,2149,0,0)",
+    ("Ours", "caterpillar") -> "RunMetrics(Ours,0.0,2,5,3,1002,288,558,0,16,0,105,16,2,365,0,0)",
+    ("Ours", "clique-20") -> "RunMetrics(Ours,0.0,1,2,1,780,380,80,0,300,0,0,300,15,980,0,0)",
+    ("Ours", "figure1") -> "RunMetrics(Ours,0.0,4,9,6,130,26,71,0,20,0,0,20,2,468,0,0)",
+    ("Ours", "grid-16x16") -> "RunMetrics(Ours,0.0,1,3,2,2204,960,892,0,96,0,416,96,1,729,0,0)",
+    ("Ours", "hcns-25") -> "RunMetrics(Ours,0.0,25,49,25,2992,1370,633,0,604,0,1,604,24,3382,0,0)",
+    ("Ours", "path-50") -> "RunMetrics(Ours,0.0,1,3,2,327,98,173,0,6,0,46,6,1,205,0,0)",
+    ("Ours", "random-dense") -> "RunMetrics(Ours,0.0,4,20,16,14224,5512,4375,0,4108,0,514,4108,22,4492,0,0)",
+    ("Ours", "random-sparse") -> "RunMetrics(Ours,0.0,4,15,12,5197,1386,2473,0,1038,0,156,1038,4,1903,0,0)",
+    ("Julienne", "caterpillar") -> "RunMetrics(Julienne,0.0,2,24,22,2190,288,920,288,266,0,0,288,2,1539,0,0)",
+    ("Julienne", "clique-20") -> "RunMetrics(Julienne,0.0,1,2,1,1340,380,100,380,80,0,0,380,19,1236,0,0)",
+    ("Julienne", "figure1") -> "RunMetrics(Julienne,0.0,4,9,6,196,26,84,26,21,0,0,26,3,532,0,0)",
+    ("Julienne", "grid-16x16") -> "RunMetrics(Julienne,0.0,1,16,15,5602,960,1842,960,624,0,0,960,2,1928,0,0)",
+    ("Julienne", "hcns-25") -> "RunMetrics(Julienne,0.0,25,50,25,7114,1370,2203,1370,416,0,0,1370,25,3574,0,0)",
+    ("Julienne", "path-50") -> "RunMetrics(Julienne,0.0,1,26,25,790,98,348,98,98,0,0,98,1,1674,0,0)",
+    ("Julienne", "random-dense") -> "RunMetrics(Julienne,0.0,4,23,19,23262,5512,3402,5512,3084,0,0,5512,21,5733,0,0)",
+    ("Julienne", "random-sparse") -> "RunMetrics(Julienne,0.0,4,18,15,8306,1386,2556,1386,1292,0,0,1386,4,2535,0,0)",
     ("ParK", "caterpillar") -> "RunMetrics(ParK,0.0,3,25,22,864,288,420,0,16,0,105,16,1,515,0,0)",
     ("ParK", "clique-20") -> "RunMetrics(ParK,0.0,20,21,1,1100,380,400,0,300,0,0,300,15,980,0,0)",
     ("ParK", "figure1") -> "RunMetrics(ParK,0.0,4,9,6,101,26,44,0,20,0,0,20,2,468,0,0)",
@@ -131,22 +131,22 @@ class EngineSpec extends SparkSpec {
   }
 
   private val expectedComboFingerprints: Map[(String, String), String] = Map(
-    ("Plain", "random-dense") -> "RunMetrics(Plain,0.0,21,40,19,14004,5512,4184,0,4108,0,476,4108,18,5017,0,0)",
-    ("Plain", "caterpillar") -> "RunMetrics(Plain,0.0,3,25,22,859,288,415,0,16,0,105,16,1,515,0,0)",
-    ("HBS", "random-dense") -> "RunMetrics(HBS,0.0,21,40,19,12766,5512,2946,0,4108,0,476,4108,18,5017,0,0)",
-    ("HBS", "caterpillar") -> "RunMetrics(HBS,0.0,3,25,22,859,288,415,0,16,0,105,16,1,515,0,0)",
-    ("Sample", "random-dense") -> "RunMetrics(Sample,0.0,21,40,19,14004,5512,4184,0,4108,0,476,4108,18,5017,0,0)",
-    ("Sample", "caterpillar") -> "RunMetrics(Sample,0.0,3,25,22,859,288,415,0,16,0,105,16,1,515,0,0)",
-    ("Sample+HBS", "random-dense") -> "RunMetrics(Sample+HBS,0.0,21,40,19,12766,5512,2946,0,4108,0,476,4108,18,5017,0,0)",
-    ("Sample+HBS", "caterpillar") -> "RunMetrics(Sample+HBS,0.0,3,25,22,859,288,415,0,16,0,105,16,1,515,0,0)",
-    ("VGC", "random-dense") -> "RunMetrics(VGC,0.0,21,37,16,14004,5512,4184,0,4108,0,514,4108,22,4492,0,0)",
-    ("VGC", "caterpillar") -> "RunMetrics(VGC,0.0,3,6,3,859,288,415,0,16,0,105,16,2,365,0,0)",
-    ("VGC+HBS", "random-dense") -> "RunMetrics(VGC+HBS,0.0,21,37,16,12766,5512,2946,0,4108,0,514,4108,22,4492,0,0)",
-    ("VGC+HBS", "caterpillar") -> "RunMetrics(VGC+HBS,0.0,3,6,3,859,288,415,0,16,0,105,16,2,365,0,0)",
-    ("VGC+Sample", "random-dense") -> "RunMetrics(VGC+Sample,0.0,21,37,16,14004,5512,4184,0,4108,0,514,4108,22,4492,0,0)",
-    ("VGC+Sample", "caterpillar") -> "RunMetrics(VGC+Sample,0.0,3,6,3,859,288,415,0,16,0,105,16,2,365,0,0)",
-    ("All", "random-dense") -> "RunMetrics(All,0.0,21,37,16,12766,5512,2946,0,4108,0,514,4108,22,4492,0,0)",
-    ("All", "caterpillar") -> "RunMetrics(All,0.0,3,6,3,859,288,415,0,16,0,105,16,2,365,0,0)",
+    ("Plain", "random-dense") -> "RunMetrics(Plain,0.0,4,23,19,12169,5512,2309,0,4108,0,476,4108,18,5017,0,0)",
+    ("Plain", "caterpillar") -> "RunMetrics(Plain,0.0,2,24,22,1002,288,558,0,16,0,105,16,1,515,0,0)",
+    ("HBS", "random-dense") -> "RunMetrics(HBS,0.0,4,23,19,14236,5512,4376,0,4108,0,476,4108,18,5017,0,0)",
+    ("HBS", "caterpillar") -> "RunMetrics(HBS,0.0,2,24,22,1002,288,558,0,16,0,105,16,1,515,0,0)",
+    ("Sample", "random-dense") -> "RunMetrics(Sample,0.0,4,23,19,12169,5512,2309,0,4108,0,476,4108,18,5017,0,0)",
+    ("Sample", "caterpillar") -> "RunMetrics(Sample,0.0,2,24,22,1002,288,558,0,16,0,105,16,1,515,0,0)",
+    ("Sample+HBS", "random-dense") -> "RunMetrics(Sample+HBS,0.0,4,23,19,14236,5512,4376,0,4108,0,476,4108,18,5017,0,0)",
+    ("Sample+HBS", "caterpillar") -> "RunMetrics(Sample+HBS,0.0,2,24,22,1002,288,558,0,16,0,105,16,1,515,0,0)",
+    ("VGC", "random-dense") -> "RunMetrics(VGC,0.0,4,20,16,12113,5512,2264,0,4108,0,514,4108,22,4492,0,0)",
+    ("VGC", "caterpillar") -> "RunMetrics(VGC,0.0,2,5,3,1002,288,558,0,16,0,105,16,2,365,0,0)",
+    ("VGC+HBS", "random-dense") -> "RunMetrics(VGC+HBS,0.0,4,20,16,14224,5512,4375,0,4108,0,514,4108,22,4492,0,0)",
+    ("VGC+HBS", "caterpillar") -> "RunMetrics(VGC+HBS,0.0,2,5,3,1002,288,558,0,16,0,105,16,2,365,0,0)",
+    ("VGC+Sample", "random-dense") -> "RunMetrics(VGC+Sample,0.0,4,20,16,12113,5512,2264,0,4108,0,514,4108,22,4492,0,0)",
+    ("VGC+Sample", "caterpillar") -> "RunMetrics(VGC+Sample,0.0,2,5,3,1002,288,558,0,16,0,105,16,2,365,0,0)",
+    ("All", "random-dense") -> "RunMetrics(All,0.0,4,20,16,14224,5512,4375,0,4108,0,514,4108,22,4492,0,0)",
+    ("All", "caterpillar") -> "RunMetrics(All,0.0,2,5,3,1002,288,558,0,16,0,105,16,2,365,0,0)",
   )
 
   // All 8 technique combos on two representative graphs, in-thread and on Spark.
@@ -159,10 +159,10 @@ class EngineSpec extends SparkSpec {
   }
 
   private val expectedHubFingerprints: Map[(String, Int), String] = Map(
-    ("Sample", 4) -> "RunMetrics(Sample,0.0,7,62,55,35551,14186,9679,0,8599,220,1907,8802,22,11694,3,0)",
-    ("Sample", 7) -> "RunMetrics(Sample,0.0,7,62,55,37265,14186,9679,0,10283,235,1186,10516,24,13648,3,0)",
-    ("VGC+Sample", 4) -> "RunMetrics(VGC+Sample,0.0,7,38,31,35543,14186,9679,0,8582,228,1885,8794,30,11050,3,0)",
-    ("VGC+Sample", 7) -> "RunMetrics(VGC+Sample,0.0,7,48,41,37246,14186,9679,0,10256,248,1225,10497,28,12553,3,0)",
+    ("Sample", 4) -> "RunMetrics(Sample,0.0,3,58,55,39437,14186,13544,0,8599,224,1907,8805,23,11563,3,0)",
+    ("Sample", 7) -> "RunMetrics(Sample,0.0,3,58,55,40994,14186,13397,0,10283,233,1186,10509,21,13036,3,0)",
+    ("VGC+Sample", 4) -> "RunMetrics(VGC+Sample,0.0,3,34,31,36025,14186,10157,0,8582,227,1885,8792,26,10083,3,0)",
+    ("VGC+Sample", 7) -> "RunMetrics(VGC+Sample,0.0,3,44,41,40486,14186,12904,0,10256,240,1225,10491,27,12246,3,0)",
   )
 
   // The sampling combos on a hub graph where sample mode engages without a
@@ -323,7 +323,9 @@ class EngineSpec extends SparkSpec {
         case (Sub(k, s), i) if s.toInt == i => k.toInt
         case (l, i) => fail(s"subround $i labelled '$l'")
       }
-      assert(ks.head == 0 && ks == ks.sorted && ks.distinct.length == m.rounds, ks)
+      // One round per key still in use: the grid's vertices all have coreness 2.
+      val bz = SeqKCore.bz(TestGraphs.grid(8, 8)).distinct.sorted.toSeq
+      assert(ks == ks.sorted && ks.distinct == bz && m.rounds == bz.length, ks)
 
       sc.clearJobGroup()
       ParallelKCore.run(h, KCoreConfig.julienne)
@@ -381,7 +383,7 @@ class EngineSpec extends SparkSpec {
     assert(m.maxSampled > 0, "expected sample mode to engage")
     assert(m.restarts == 0)
     assert(fingerprint(m) ==
-      "RunMetrics(Ours,0.0,7,38,31,36468,14186,9679,0,8182,753,1648,8794,24,10349,15,0)")
+      "RunMetrics(Ours,0.0,3,34,31,36979,14186,10157,0,8182,761,1648,8800,27,10686,15,0)")
   }
 
   test("a vertex that re-enters sample mode and exits in one subround leaves every directory") {

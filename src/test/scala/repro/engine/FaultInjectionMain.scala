@@ -18,8 +18,10 @@ object FaultInjectionMain {
   val Cfg = KCoreConfig.ours.copy(sampling = Some(SamplingParams(threshold = 100)))
   /** Two partitions per task: a failed task leaves its second state behind the first. */
   val NParts = 8
-  /** Partition 0 (the hubs) applies 689 inbound decrements and peels 3 vertices here. */
-  val Sub = 9
+  /** Partition 0 (the hubs) applies 681 inbound decrements and peels 3 vertices here
+    * (round k = 5; the first round is k = 4, the least degree).
+    */
+  val Sub = 5
 
   def main(args: Array[String]): Unit = {
     val spark = SparkSession.builder.master("local[4,3]").appName("fault-injection").getOrCreate()
