@@ -182,6 +182,36 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  /** Subrounds of the non-sampling bucket configs when every round advanced
+    * k by one, before rounds started at the least key still in use (same
+    * graphs, nParts 4). ρ′ is the same with and without the skip.
+    */
+  private val subroundsVisitingEveryKey: Map[String, Map[String, Int]] = {
+    val graphNames = Seq("figure1", "random-sparse", "random-dense", "grid-16x16", "clique-20", "path-50",
+      "caterpillar", "hcns-25", "hubby")
+    Map(
+      "Plain" -> Seq(9, 18, 40, 18, 21, 27, 25, 50, 62),
+      "HBS" -> Seq(9, 18, 40, 18, 21, 27, 25, 50, 62),
+      "VGC" -> Seq(9, 15, 37, 5, 21, 4, 6, 50, 38),
+      "VGC+HBS" -> Seq(9, 15, 37, 5, 21, 4, 6, 50, 38),
+      "Julienne" -> Seq(9, 18, 40, 18, 21, 27, 25, 51, 62),
+    ).map { case (cfg, subs) => cfg -> graphNames.zip(subs).toMap }
+  }
+
+  // A round is skipped iff no vertex has its key as coreness: each skipped
+  // round cost exactly one subround.
+  for (cfg <- KCoreConfig.combos.filter(_.sampling.isEmpty) :+ KCoreConfig.julienne) {
+    test(s"${cfg.name} skips exactly the empty rounds") {
+      for ((gname, g) <- graphs :+ ("hubby" -> TestGraphs.hubby(1500, 3, 0.3, 6))) {
+        val bz = SeqKCore.bz(g)
+        val used = bz.distinct.length
+        val m = check(g, cfg)
+        assert(m.rounds == used, gname)
+        assert(m.subrounds == subroundsVisitingEveryKey(cfg.name)(gname) - (bz.max + 1 - used), gname)
+      }
+    }
+  }
+
   test("nParts = 1 degenerates gracefully") {
     checkSpark(TestGraphs.random(100, 500, 3), KCoreConfig.ours, nParts = 1)
   }
@@ -384,6 +414,17 @@ class EngineSpec extends SparkSpec {
     assert(m.restarts == 0)
     assert(fingerprint(m) ==
       "RunMetrics(Ours,0.0,3,34,31,36979,14186,10157,0,8182,761,1648,8800,27,10686,15,0)")
+  }
+
+  test("a vertex in sample mode bounds the jump to the next round") {
+    // On these graphs a jump to the least degree out of sample mode would pass
+    // the first round whose validation some sampled vertex fails; its recount
+    // would then find a degree below k, and the run would restart.
+    val cfg = KCoreConfig.plain.copy(name = "Sample", sampling = Some(SamplingParams(threshold = 16)))
+    for (g <- Seq(TestGraphs.hubby(600, 1, 0.3, 0), TestGraphs.hubby(600, 3, 0.3, 1))) {
+      val m = check(g, cfg)
+      assert(m.maxSampled > 0 && m.restarts == 0, m.toString)
+    }
   }
 
   test("a vertex that re-enters sample mode and exits in one subround leaves every directory") {

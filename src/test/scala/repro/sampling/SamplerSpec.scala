@@ -84,6 +84,18 @@ class SamplerSpec extends AnyFunSuite {
     }
   }
 
+  test("firstFailing is the first round after k at which validate fails (brute force)") {
+    val rng = new java.util.Random(11)
+    for (params <- Seq(sp, SamplingParams(threshold = 16, r = 0.5), SamplingParams(r = 0.9)); _ <- 0 until 2000) {
+      val d = rng.nextInt(3000)
+      val k = rng.nextInt(400) - 1
+      val cnt = rng.nextInt(60)
+      val rate = if (rng.nextBoolean()) params.rateFor(math.max(1, d), 1 + rng.nextInt(100000)) else rng.nextDouble()
+      val brute = Iterator.from(k + 1).find(kk => !params.validate(d, kk, cnt, rate)).get
+      assert(params.firstFailing(d, k, cnt, rate) == brute, s"$params d=$d k=$k cnt=$cnt rate=$rate")
+    }
+  }
+
   test("small graphs never sample under default threshold") {
     (1 to 500).foreach(d => assert(!sp.canSample(d, 0)))
   }

@@ -71,6 +71,83 @@ class BucketStrategySpec extends AnyFunSuite {
     }
   }
 
+  /** Rounds go to the least key, as in the engine, and `minKey` must match
+    * a brute-force minimum over alive, selectable keys, before and after
+    * keys fall between rounds (leaving stale copies). Keys are sparse, so
+    * rounds jump past HBS's single-key window and the fixed buckets' window.
+    * A vertex in sample mode is not selectable; it leaves sample mode, with
+    * a fresh copy at a key in (k, key], before a round can pass it.
+    */
+  private def minKeyStress(name: String, seed: Long): Unit = {
+    val rng = new java.util.Random(seed)
+    val n = 300
+    val key = Array.fill(n)(37 * rng.nextInt(10))
+    val dead = new Array[Boolean](n)
+    val sampled = Array.fill(n)(rng.nextInt(8) == 0)
+    val s = mkStrategy(name)
+    s.init(Array.range(0, n))
+    def query = s.minKey(key(_), v => !dead(v), v => !sampled(v))
+    def brute = (0 until n).filter(v => !dead(v) && !sampled(v)).map(key).minOption.getOrElse(Int.MaxValue)
+    var k = -1
+    var jumps = 0
+    while (dead.contains(false)) {
+      val least = query
+      assert(least == brute, s"$name after round $k")
+      for (v <- 0 until n if !dead(v) && sampled(v) && (key(v) <= least || rng.nextInt(4) == 0)) {
+        sampled(v) = false
+        key(v) = k + 1 + rng.nextInt(key(v) - k)
+        s.onDecrease(v, key(v))
+      }
+      val next = query
+      assert(next == brute, s"$name after round $k, once sampled vertices left")
+      if (next > k + 16) jumps += 1
+      k = next
+      val got = s.extract(k, key(_), v => !dead(v), v => !sampled(v)).sorted.toSeq
+      assert(got == (0 until n).filter(v => !dead(v) && !sampled(v) && key(v) == k), s"$name round $k")
+      got.foreach(dead(_) = true)
+      (0 until 20).foreach { _ =>
+        val v = rng.nextInt(n)
+        if (!dead(v) && key(v) > k + 1) { key(v) -= 1 + rng.nextInt(key(v) - k - 1); s.onDecrease(v, key(v)) }
+      }
+    }
+    assert(jumps > 0, s"$name: no round jumped past a window")
+  }
+
+  names.filter(_ != "scanAll").foreach { name =>
+    test(s"$name: minKey against brute force") { minKeyStress(name, 7) }
+    test(s"$name: minKey, second seed") { minKeyStress(name, 99) }
+  }
+
+  test("scanAll answers minKey with 0 and charges nothing: ParK and PKC visit every k") {
+    val s = new ScanAllStrategy
+    s.init(Array.range(0, 10))
+    assert(s.minKey(_ => 5, _ => true, _ => true) == 0)
+    assert(s.ops == 0)
+  }
+
+  test("fixed: minKey finds a key beyond the 16-bucket window in the overflow") {
+    val key = Array(0, 3, 40, 90)
+    val dead = new Array[Boolean](4)
+    val s = new FixedBucketsStrategy
+    s.init(Array.range(0, 4))
+    def minKey = s.minKey(key(_), v => !dead(v), _ => true)
+    assert(minKey == 0)
+    assert(s.extract(0, key(_), v => !dead(v), _ => true).toSeq == Seq(0)) // window [0, 16)
+    dead(0) = true
+    assert(minKey == 3)
+    key(2) = 10; s.onDecrease(2, 10) // its copy at 40 was never in the window
+    assert(minKey == 3)
+    assert(s.extract(3, key(_), v => !dead(v), _ => true).toSeq == Seq(1))
+    dead(1) = true
+    assert(minKey == 10)
+    assert(s.extract(10, key(_), v => !dead(v), _ => true).toSeq == Seq(2))
+    dead(2) = true
+    assert(minKey == 90)
+    assert(s.extract(90, key(_), v => !dead(v), _ => true).toSeq == Seq(3)) // rebuilt at 90
+    dead(3) = true
+    assert(minKey == Int.MaxValue)
+  }
+
   test("ops counters increase with extraction work") {
     val s = new ScanAllStrategy
     s.init(Array.range(0, 100))

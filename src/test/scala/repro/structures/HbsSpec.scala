@@ -89,6 +89,56 @@ class HbsSpec extends AnyFunSuite {
     assert(dead.forall(identity))
   }
 
+  test("minKey is the least live key, across stale copies and jumps of more than 8 keys") {
+    // Rounds go to the answer, as in the engine; between rounds keys fall
+    // (leaving stale copies) but stay above k, and some vertices die early.
+    val rng = new java.util.Random(3)
+    val n = 200
+    val key = Array.fill(n)(29 * rng.nextInt(12))
+    val dead = new Array[Boolean](n)
+    val hbs = new Hbs
+    (0 until n).foreach(v => hbs.insert(v, key(v)))
+    def brute = (0 until n).filter(v => !dead(v)).map(key).minOption.getOrElse(Int.MaxValue)
+    var k = -1
+    var jumps = 0
+    while (dead.contains(false)) {
+      val q = hbs.minKey(key(_), v => !dead(v))
+      assert(q == brute, s"after round $k")
+      if (q > k + 8) jumps += 1
+      k = q
+      val got = hbs.extractForRound(k, key(_), v => !dead(v)).toSeq
+      assert(got == (0 until n).filter(v => !dead(v) && key(v) == k), s"round $k")
+      got.foreach(dead(_) = true)
+      (0 until 5).foreach { _ =>
+        val v = rng.nextInt(n)
+        if (!dead(v) && key(v) > k + 1) { key(v) -= 1 + rng.nextInt(key(v) - k - 1); hbs.decreaseKey(v, key(v)) }
+      }
+      val v = rng.nextInt(n)
+      if (rng.nextBoolean()) dead(v) = true // peeled by a chain: its copies are stale
+      assert(hbs.minKey(key(_), v => !dead(v)) == brute, s"round $k, second query")
+    }
+    assert(jumps > 2, s"only $jumps jumps of more than 8 keys")
+  }
+
+  test("minKey reads the single-key window where a jump of more than 8 keys moved it") {
+    val hbs = new Hbs
+    val key = scala.collection.mutable.Map(1 -> 2, 2 -> 30, 3 -> 31, 4 -> 70)
+    var alive = Set(1, 2, 3, 4)
+    key.foreach { case (v, d) => hbs.insert(v, d) }
+    assert(hbs.minKey(key(_), alive) == 2)
+    assert(hbs.extractForRound(2, key(_), alive).toSeq == Seq(1))
+    alive -= 1
+    assert(hbs.minKey(key(_), alive) == 30)
+    assert(hbs.extractForRound(30, key(_), alive).toSeq == Seq(2)) // the window is now [30, 38)
+    alive -= 2
+    key(4) = 33; hbs.decreaseKey(4, 33) // its copy at 70 is stale
+    assert(hbs.minKey(key(_), alive) == 31)
+    alive -= 3
+    assert(hbs.minKey(key(_), alive) == 33)
+    alive -= 4
+    assert(hbs.minKey(key(_), alive) == Int.MaxValue)
+  }
+
   test("opsCost grows with activity") {
     val hbs = new Hbs
     val before = hbs.opsCost
