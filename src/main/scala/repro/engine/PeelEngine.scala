@@ -92,8 +92,9 @@ object PeelEngine {
 
   /** Run k-core under `cfg` on the exchanges that `exchange` builds, one per
     * attempt. Restarts without sampling if a recount detects a missed peel
-    * (never observed with the default μ — exercised in tests by forcing a
-    * tiny μ). `wallMillis` covers every attempt.
+    * (rare with the default μ: Ours misses one on the suite's HPL at 16
+    * partitions; tests force it with a tiny μ). `wallMillis` covers every
+    * attempt.
     */
   private[engine] def run(n: Int, cfg: KCoreConfig,
                           exchange: KCoreConfig => Exchange): (Array[Int], RunMetrics) = {
