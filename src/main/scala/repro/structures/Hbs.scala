@@ -35,6 +35,9 @@ final class Hbs extends Serializable {
   /** Structure operations performed so far (inserts + scans), for CostModel. */
   var opsCost: Long = 0L
 
+  /** The single-key slot that holds `key`: key mod 8. */
+  @inline private def slot(key: Int): Int = ((key % 8) + 8) % 8
+
   /** Ranged bucket index for an offset d = key − k with d ≥ 8. */
   @inline private def rangedIdx(d: Int): Int = 31 - Integer.numberOfLeadingZeros(d >>> 3)
 
@@ -56,7 +59,7 @@ final class Hbs extends Serializable {
     opsCost += 1
     val e = pack(v, key)
     val d = key - k
-    if (d < 8) push(singles, singleSz, ((key % 8) + 8) % 8, e)
+    if (d < 8) push(singles, singleSz, slot(key), e)
     else {
       val b = rangedIdx(d)
       push(ranged, rangedSz, b, e)
@@ -99,9 +102,9 @@ final class Hbs extends Serializable {
       }
     }
     // Drain the single-key slot for kRound.
-    val slot = ((kRound % 8) + 8) % 8
-    val arr = singles(slot); val sz = singleSz(slot)
-    singles(slot) = EmptyArr; singleSz(slot) = 0
+    val s = slot(kRound)
+    val arr = singles(s); val sz = singleSz(s)
+    singles(s) = EmptyArr; singleSz(s) = 0
     val out = new ArrayBuilder.ofInt
     var i = 0
     while (i < sz) {
@@ -123,7 +126,7 @@ final class Hbs extends Serializable {
     var key = k
     while (key < k + 8) {
       // The slot's keys are ≡ key (mod 8) and below k + 8: only key can be live.
-      if (leastLive(singles, singleSz, ((key % 8) + 8) % 8, key, currentKey, alive) == key) return key
+      if (leastLive(singles, singleSz, slot(key), key, currentKey, alive) == key) return key
       key += 1
     }
     // Every ranged key is ≥ k + 8, since the last extraction pulled down each
