@@ -21,12 +21,12 @@ final case class SubroundIn(
   * partitions is the subround's critical path (contention at a hot owner
   * shows up here because the owner applies its inbound messages serially).
   *
-  * The last five fields are the partition's state after the subround; the
+  * The last three fields are the partition's state after the subround; the
   * driver combines them over partitions to decide how the peel advances.
-  * `leastKey` is the least round k′ > k at which this partition could peel
-  * a vertex, if it is quiescent (no frontier, no pending recount, no message
-  * sent), else −1; `+` takes the min, so it is known for the whole graph
-  * only when every partition is quiescent, which is when a round ends.
+  * `leastKey` is the partition's vote to halt: the least round k′ > k at
+  * which it could peel a vertex if it is quiescent (no frontier, no pending
+  * recount, no message sent), else −1. `+` takes the min, so the min is
+  * ≥ 0 exactly when every partition is quiescent, which ends the round.
   */
 final case class SubCounters(
     work: Long,
@@ -40,8 +40,6 @@ final case class SubCounters(
     maxInboundPerVertex: Int,
     maxChainOps: Long, // ops of the longest single local search (a serial chain)
     frontierProcessed: Int,
-    localFrontierSize: Int,
-    pendingRecounts: Int,
     peeledOwnedTotal: Int,
     sampledNow: Int,
     leastKey: Int) extends Serializable {
@@ -54,8 +52,7 @@ final case class SubCounters(
     hitMsgs + o.hitMsgs, localDecs + o.localDecs, structOps + o.structOps,
     histogramOps + o.histogramOps, inboundApplied + o.inboundApplied,
     math.max(maxInboundPerVertex, o.maxInboundPerVertex), math.max(maxChainOps, o.maxChainOps),
-    frontierProcessed + o.frontierProcessed, localFrontierSize + o.localFrontierSize,
-    pendingRecounts + o.pendingRecounts, peeledOwnedTotal + o.peeledOwnedTotal,
+    frontierProcessed + o.frontierProcessed, peeledOwnedTotal + o.peeledOwnedTotal,
     sampledNow + o.sampledNow, math.min(leastKey, o.leastKey))
 
   /** This partition's critical path in the subround: the longest serial
@@ -68,7 +65,7 @@ final case class SubCounters(
 }
 
 object SubCounters {
-  val Zero: SubCounters = SubCounters(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, Int.MaxValue)
+  val Zero: SubCounters = SubCounters(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, Int.MaxValue)
 }
 
 /** Output of one partition for one subround. Message targets are global

@@ -2,11 +2,15 @@ package repro.engine
 
 import repro.core.{FixedBuckets, Hierarchical, KCoreConfig, OneBucket, ScanAllBuckets}
 import repro.structures.{BucketStrategy, FixedBucketsStrategy, HierarchicalStrategy, OneBucketStrategy, ScanAllStrategy}
+import scala.collection.mutable.ArrayBuilder
 
 /** The mutable per-partition state of the peeling engine. One instance per
   * logical partition (pid); a Spark task may host several of them. Each
   * subround advances it in place ([[advance]]): the Spark exchange keeps it
-  * in a cached block for the whole run.
+  * in a cached block for the whole run. A new state's [[lastOut]] carries
+  * its initial sampler-directory entries (vertices put into sample mode at
+  * k = 0), part of the first subround's input, and the least key the first
+  * round may start at.
   *
   * Arrays are indexed by local id (global − lo) except `peeled`, which is a
   * bitset over all n vertices — each partition tracks the *global* processed
@@ -14,25 +18,42 @@ import repro.structures.{BucketStrategy, FixedBucketsStrategy, HierarchicalStrat
   * subround's input) so exact recounts of sampled vertices can scan their
   * adjacency locally.
   */
-final class PartitionState(
-    val g: PartitionGraph,
-    val cfg: KCoreConfig,
-    val deg: Array[Int],
-    val core: Array[Int],            // -1 until assigned to a frontier
-    val peeled: Array[Long],         // global bitset: decrements already issued
-    val mode: Array[Byte],           // 0 off, 1 sampling, 2 exiting (recount pending)
-    val cnt: Array[Int],
-    val rateArr: Array[Double],
-    var frontier: Array[Int],        // owned global ids awaiting processing
-    var pendingRecount: Array[Int],  // owned global ids to recount this subround
-    var sampledOwned: Array[Int],    // owned global ids possibly in sample mode (lazily filtered)
-    val strategy: BucketStrategy,
-    val dir: java.util.HashMap[Integer, java.lang.Double], // replica of the global sampler directory
-    var peeledOwnedCount: Int,
-    private var out: SubroundOut) extends Serializable {
+final class PartitionState(val g: PartitionGraph, val cfg: KCoreConfig) extends Serializable {
   import PartitionState.InProgress
 
+  val deg: Array[Int] = Array.tabulate(g.nOwned)(g.degreeLocal)
+  val core: Array[Int] = Array.fill(g.nOwned)(-1) // -1 until assigned to a frontier
+  val peeled = new Array[Long]((g.n >>> 6) + 1)    // global bitset: decrements already issued
+  val mode = new Array[Byte](g.nOwned)            // 0 off, 1 sampling, 2 exiting (recount pending)
+  val cnt = new Array[Int](g.nOwned)
+  val rateArr = new Array[Double](g.nOwned)
+  var frontier: Array[Int] = Array.emptyIntArray       // owned global ids awaiting processing
+  var pendingRecount: Array[Int] = Array.emptyIntArray // owned global ids to recount this subround
+  var sampledOwned: Array[Int] = _                     // owned global ids possibly in sample mode (lazily filtered)
+  val strategy: BucketStrategy = cfg.buckets match {
+    case ScanAllBuckets => new ScanAllStrategy
+    case OneBucket => new OneBucketStrategy
+    case FixedBuckets => new FixedBucketsStrategy
+    case Hierarchical => new HierarchicalStrategy(KCoreConfig.Theta)
+  }
+  strategy.init(Array.tabulate(g.nOwned)(g.lo + _))
+  val dir = new java.util.HashMap[Integer, java.lang.Double]() // replica of the global sampler directory
+  var peeledOwnedCount = 0
   private var steps = 0 // subrounds run so far, or InProgress
+  // The k = 0 entries are both the directory changes and the sampled set;
+  // neither array is mutated in place.
+  private var out: SubroundOut = {
+    val dirV = new ArrayBuilder.ofInt
+    val dirRate = new ArrayBuilder.ofDouble
+    var v = g.lo
+    while (v < g.hi) { enterSampleMode(v, 0, dirV, dirRate); v += 1 }
+    sampledOwned = dirV.result()
+    val least = leastKey(-1)
+    val counters = SubCounters.Zero.copy(work = strategy.ops + sampledOwned.length,
+      structOps = strategy.ops, leastKey = least)
+    val e = Array.emptyIntArray
+    SubroundOut(g.pid, e, null, e, e, sampledOwned, dirRate.result(), counters, error = false)
+  }
 
   @inline def li(v: Int): Int = v - g.lo
   @inline def isPeeledBit(v: Int): Boolean = (peeled(v >>> 6) & (1L << (v & 63))) != 0
@@ -56,6 +77,22 @@ final class PartitionState(
       steps = s + 1
     }
     out
+  }
+
+  /** Puts alive owned vertex `v` into sample mode for round k if its degree
+    * allows it (Alg. 5 lines 13–15), and records the directory change
+    * (v, rate); true if it entered.
+    */
+  private[engine] def enterSampleMode(v: Int, k: Int, dirV: ArrayBuilder.ofInt, dirRate: ArrayBuilder.ofDouble): Boolean = {
+    val j = li(v)
+    cfg.sampling match {
+      case Some(sp) if sp.canSample(deg(j), k) =>
+        mode(j) = 1
+        rateArr(j) = sp.rateFor(deg(j), g.n)
+        dirV += v; dirRate += rateArr(j)
+        true
+      case _ => false
+    }
   }
 
   /** The least round k′ > k in which this partition could peel a vertex, for
@@ -96,50 +133,4 @@ final class PartitionState(
 
 object PartitionState {
   private final val InProgress = -1
-
-  /** Fresh state for one partition under `cfg`. Its [[PartitionState.lastOut]]
-    * carries this partition's initial sampler-directory entries (vertices put
-    * into sample mode at k = 0), part of the first subround's input, and the
-    * least key the first round may start at.
-    */
-  def init(g: PartitionGraph, cfg: KCoreConfig): PartitionState = {
-    val nOwned = g.nOwned
-    val deg = Array.tabulate(nOwned)(g.degreeLocal)
-    val core = Array.fill(nOwned)(-1)
-    val peeled = new Array[Long]((g.n >>> 6) + 1)
-    val mode = new Array[Byte](nOwned)
-    val cnt = new Array[Int](nOwned)
-    val rate = new Array[Double](nOwned)
-    val strategy: BucketStrategy = cfg.buckets match {
-      case ScanAllBuckets => new ScanAllStrategy
-      case OneBucket => new OneBucketStrategy
-      case FixedBuckets => new FixedBucketsStrategy
-      case Hierarchical => new HierarchicalStrategy(KCoreConfig.Theta)
-    }
-    strategy.init(Array.tabulate(nOwned)(g.lo + _))
-    val dir = new java.util.HashMap[Integer, java.lang.Double]()
-    val dirV = new scala.collection.mutable.ArrayBuilder.ofInt
-    val dirRate = new scala.collection.mutable.ArrayBuilder.ofDouble
-    val sampled = new scala.collection.mutable.ArrayBuilder.ofInt
-    cfg.sampling.foreach { sp =>
-      var i = 0
-      while (i < nOwned) {
-        if (sp.canSample(deg(i), 0)) {
-          mode(i) = 1
-          rate(i) = sp.rateFor(deg(i), g.n)
-          dirV += (g.lo + i)
-          dirRate += rate(i)
-          sampled += (g.lo + i)
-        }
-        i += 1
-      }
-    }
-    val e = Array.emptyIntArray
-    val st = new PartitionState(g, cfg, deg, core, peeled, mode, cnt, rate, e, e, sampled.result(), strategy, dir, 0, null)
-    val least = st.leastKey(-1)
-    val counters = SubCounters.Zero.copy(work = strategy.ops + st.sampledOwned.length,
-      structOps = strategy.ops, leastKey = least)
-    st.out = SubroundOut(g.pid, e, null, e, e, dirV.result(), dirRate.result(), counters, error = false)
-    st
-  }
 }

@@ -92,9 +92,9 @@ object PeelEngine {
 
   /** Run k-core under `cfg` on the exchanges that `exchange` builds, one per
     * attempt. Restarts without sampling if a recount detects a missed peel
-    * (rare with the default μ: Ours misses one on the suite's HPL at 16
-    * partitions; tests force it with a tiny μ). `wallMillis` covers every
-    * attempt.
+    * (rare with the default μ: every sampling combo misses one on the
+    * suite's HPL at 16 partitions, which a test pins; other tests force one
+    * with a tiny μ). `wallMillis` covers every attempt.
     */
   private[engine] def run(n: Int, cfg: KCoreConfig,
                           exchange: KCoreConfig => Exchange): (Array[Int], RunMetrics) = {
@@ -122,7 +122,7 @@ object PeelEngine {
     // The init outputs carry the first least-key query: its cost, and the
     // key the first round starts at.
     var total = outs.iterator.map(_.counters).reduce(_ + _)
-    var k = math.max(0, total.leastKey)
+    var k = total.leastKey
     var sub = 0
     var roundStart = true
     var rounds = 0
@@ -145,12 +145,12 @@ object PeelEngine {
       if (cfg.sampling.isDefined && outs.exists(_.error)) return None
 
       // --- advance ----------------------------------------------------------
-      // A round ends when no partition has work or messages pending; the
-      // next round's input is these outputs, which then carry no messages.
-      // The next round is the least key still in use: the rounds between
-      // would peel nothing. ScanAll answers 0, so ParK and PKC take k + 1.
-      val noMsgs = outs.forall(o => o.decs.isEmpty && o.hits.isEmpty)
-      roundStart = c.localFrontierSize == 0 && noMsgs && c.pendingRecounts == 0
+      // A round ends when every partition votes to halt (a least key ≥ 0:
+      // no work or messages pending); the next round's input is these
+      // outputs, which then carry no messages. The next round is the least
+      // key still in use: the rounds between would peel nothing. ScanAll
+      // answers 0, so ParK and PKC take k + 1.
+      roundStart = c.leastKey >= 0
       if (roundStart && c.peeledOwnedTotal >= n) done = true
       else if (roundStart) k = math.max(k + 1, c.leastKey)
     }
@@ -206,7 +206,7 @@ private[engine] final class SparkExchange(hosted: RDD[PartitionGraph], cfg: KCor
 
 private[engine] object SparkExchange {
   private final case class Init(cfg: KCoreConfig) extends (Iterator[PartitionGraph] => Iterator[PartitionState]) {
-    def apply(it: Iterator[PartitionGraph]): Iterator[PartitionState] = it.map(PartitionState.init(_, cfg))
+    def apply(it: Iterator[PartitionGraph]): Iterator[PartitionState] = it.map(new PartitionState(_, cfg))
   }
 
   private final case class Step(in: SubroundIn)

@@ -20,8 +20,9 @@ import scala.collection.mutable.ArrayBuilder
   *      validate every sampled vertex,
   *   5. perform the exact recounts scheduled in the previous subround,
   *   6. peel the frontier (with VGC chains in Online mode),
-  *   7. if the partition ends quiescent, find the least key it could peel
-  *      at in a later round ([[PartitionState.leastKey]]).
+  *   7. vote to halt: a partition that ends quiescent reports the least
+  *      key it could peel at in a later round ([[PartitionState.leastKey]]),
+  *      any other −1; the round ends when no partition reports −1.
   */
 object SubroundProcessor {
 
@@ -40,10 +41,9 @@ object SubroundProcessor {
     val cfg = st.cfg
     val g = st.g
     val pid = g.pid
-    val n = g.n
     val k = in.k
     val sp = cfg.sampling.orNull
-    val mu = if (sp == null) Int.MaxValue else sp.mu(n)
+    val mu = if (sp == null) Int.MaxValue else sp.mu(g.n)
     val rng = new java.util.Random(cfg.seed ^ (in.subroundIndex * 1000003L) ^ (pid * 7919L))
     val structOpsBefore = st.strategy.ops
 
@@ -101,17 +101,22 @@ object SubroundProcessor {
 
     // --- step 2: incoming explicit decrements -------------------------------
     val inb = new Array[Int](g.nOwned) // inbound messages per local id
+    // Tallies c messages to owned vertex t; returns its local id.
+    def inbound(t: Int, c: Int): Int = {
+      inboundApplied += c
+      work += c
+      val j = st.li(t)
+      inb(j) += c
+      if (inb(j) > maxInbound) maxInbound = inb(j)
+      j
+    }
     in.outs.foreach { o =>
       var x = 0
       while (x < o.decs.length) {
         val t = o.decs(x)
         if (g.owns(t)) {
           val c = if (o.decCounts != null) o.decCounts(x) else 1
-          inboundApplied += c
-          work += c
-          val j = st.li(t)
-          inb(j) += c
-          if (inb(j) > maxInbound) maxInbound = inb(j)
+          val j = inbound(t, c)
           // Mode 2 (recount pending) skips it: the bitmap covers these peels.
           // Mode 1 (just entered sample mode) applies it, so the degree stays
           // a conservative upper bound, but does not peel on it.
@@ -132,11 +137,7 @@ object SubroundProcessor {
       while (x < o.hits.length) {
         val t = o.hits(x)
         if (g.owns(t)) {
-          inboundApplied += 1
-          work += 1
-          val j = st.li(t)
-          inb(j) += 1
-          if (inb(j) > maxInbound) maxInbound = inb(j)
+          val j = inbound(t, 1)
           if (st.core(j) == -1 && st.mode(j) == 1) {
             st.cnt(j) += 1
             touched.add(t)
@@ -199,10 +200,7 @@ object SubroundProcessor {
           st.core(j) = k; st.mode(j) = 0; roots.add(v)
         } else if (trueDeg == k) {
           st.core(j) = k; st.mode(j) = 0; roots.add(v)
-        } else if (sp != null && sp.canSample(trueDeg, k)) {
-          st.mode(j) = 1
-          st.rateArr(j) = sp.rateFor(trueDeg, n)
-          dirV += v; dirRate += st.rateArr(j)
+        } else if (st.enterSampleMode(v, k, dirV, dirRate)) {
           newSampled += v
         } else {
           st.mode(j) = 0
@@ -308,12 +306,13 @@ object SubroundProcessor {
     val decsOut = decs.result()
     val hitsOut = hits.result()
 
-    // --- step 7: least key of a later round ---------------------------------
-    // Only a quiescent partition can end the round. If it was quiescent in
-    // the last subround of this round too, and since then messages only
-    // lowered keys (no vertex peeled, recounted or left the structure), the
-    // least key is the last one or a touched vertex's; a last key of at most
-    // k + 1 (ScanAll's 0 among them) skips no round, so it stands.
+    // --- step 7: vote to halt, with the least key of a later round ----------
+    // A busy partition reports −1; the round ends when none does. If this
+    // one was quiescent in the last subround of this round too, and since
+    // then messages only lowered keys (no vertex peeled, recounted or left
+    // the structure), the least key is the last one or a touched vertex's;
+    // a last key of at most k + 1 (ScanAll's 0 among them) skips no round,
+    // so it stands.
     val prevKey = st.lastOut.counters.leastKey
     val leastKey =
       if (st.frontier.nonEmpty || st.pendingRecount.nonEmpty || decsOut.nonEmpty || hitsOut.nonEmpty) -1
@@ -343,7 +342,7 @@ object SubroundProcessor {
       dirRate.result(),
       SubCounters(work, edgeTraversals, decMsgs, hitMsgs, localDecs, structOps,
         histogramOps, inboundApplied, maxInbound, maxChainOps, frontierProcessed,
-        st.frontier.length, st.pendingRecount.length, st.peeledOwnedCount, st.sampledOwned.length, leastKey),
+        st.peeledOwnedCount, st.sampledOwned.length, leastKey),
       error)
   }
 }

@@ -10,7 +10,7 @@ import repro.graph.LocalGraph
 final class LocalExchange(parts: Array[PartitionGraph], cfg: KCoreConfig) extends Exchange {
   var states: Array[PartitionState] = _
 
-  def init(): Array[SubroundOut] = { states = parts.map(PartitionState.init(_, cfg)); states.map(_.lastOut) }
+  def init(): Array[SubroundOut] = { states = parts.map(new PartitionState(_, cfg)); states.map(_.lastOut) }
   def step(in: SubroundIn): Array[SubroundOut] = states.map(_.advance(in))
   def gather(steps: Int): Array[Int] = states.flatMap(_.coreAt(steps))
   def release(): Unit = ()

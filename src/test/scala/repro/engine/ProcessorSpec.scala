@@ -14,7 +14,7 @@ class ProcessorSpec extends AnyFunSuite {
   private val path = TestGraphs.path(8)
   private def mkState(cfg: KCoreConfig, pid: Int): PartitionState = {
     val parts = Csr.buildLocal(path, 2)
-    PartitionState.init(parts(pid), cfg)
+    new PartitionState(parts(pid), cfg)
   }
 
   /** One partition's output carrying the given messages and changes. */
@@ -139,7 +139,7 @@ class ProcessorSpec extends AnyFunSuite {
     // them in that order drops the hub.
     val star = TestGraphs.star(31)
     val cfg = KCoreConfig.plain.copy(sampling = Some(SamplingParams(threshold = 16, r = 0.9, c = -1.95)))
-    val Array(hubSt, replica) = Csr.buildLocal(star, 2).map(PartitionState.init(_, cfg))
+    val Array(hubSt, replica) = Csr.buildLocal(star, 2).map(new PartitionState(_, cfg))
     SubroundProcessor.process(replica, SubroundIn(0, roundStart = true, 0, Array(hubSt.lastOut, replica.lastOut)))
     assert(replica.dir.get(0) == 1.0)
     hubSt.mode(0) = 2
