@@ -60,17 +60,7 @@ object Csr {
         java.util.Arrays.sort(arr)
         val lo = boundOf(pid, n, nParts)
         val hi = boundOf(pid + 1, n, nParts)
-        val indptr = new Array[Int](hi - lo + 1)
-        val adj = new Array[Int](arr.length)
-        var i = 0
-        while (i < arr.length) {
-          val s = (arr(i) >>> 32).toInt
-          indptr(s - lo + 1) += 1
-          adj(i) = arr(i).toInt
-          i += 1
-        }
-        var v = 0
-        while (v < hi - lo) { indptr(v + 1) += indptr(v); v += 1 }
+        val (indptr, adj) = LocalGraph.layout(arr, arr.length, lo, hi - lo)
         Iterator.single(PartitionGraph(pid, n, lo, hi, indptr, adj))
       }, preservesPartitioning = true)
   }

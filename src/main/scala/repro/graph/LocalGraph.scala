@@ -68,18 +68,25 @@ object LocalGraph {
       if (w == 0 || arr(w - 1) != arr(i)) { arr(w) = arr(i); w += 1 }
       i += 1
     }
-    val indptr = new Array[Int](n + 1)
-    val adj = new Array[Int](w)
-    i = 0
-    while (i < w) {
-      val s = (arr(i) >>> 32).toInt
-      indptr(s + 1) += 1
-      adj(i) = arr(i).toInt
+    val (indptr, adj) = layout(arr, w, 0, n)
+    LocalGraph(n, indptr, adj)
+  }
+
+  /** The CSR `(indptr, adj)` of the first `len` entries of `packed`: edges
+    * `src << 32 | dst`, sorted, every src in [lo, lo + nv).
+    */
+  def layout(packed: Array[Long], len: Int, lo: Int, nv: Int): (Array[Int], Array[Int]) = {
+    val indptr = new Array[Int](nv + 1)
+    val adj = new Array[Int](len)
+    var i = 0
+    while (i < len) {
+      indptr((packed(i) >>> 32).toInt - lo + 1) += 1
+      adj(i) = packed(i).toInt
       i += 1
     }
     var v = 0
-    while (v < n) { indptr(v + 1) += indptr(v); v += 1 }
-    LocalGraph(n, indptr, adj)
+    while (v < nv) { indptr(v + 1) += indptr(v); v += 1 }
+    (indptr, adj)
   }
 
   /** Convenience: build from a list of (u, v) pairs. */

@@ -78,28 +78,25 @@ final class Hbs extends Serializable {
     */
   def extractForRound(kRound: Int, currentKey: Int => Int, alive: Int => Boolean): Array[Int] = {
     k = kRound
-    // Pull down any ranged bucket that may hold keys inside [k, k+8).
-    var again = true
-    while (again) {
-      again = false
-      var b = 0
-      while (b < NRanged) {
-        if (rangedSz(b) > 0 && rangedMin(b) < kRound + 8) {
-          val arr = ranged(b); val sz = rangedSz(b)
-          ranged(b) = EmptyArr; rangedSz(b) = 0; rangedMin(b) = Int.MaxValue
-          var i = 0
-          while (i < sz) {
-            val e = arr(i); val v = unpackV(e); val key = unpackK(e)
-            opsCost += 1
-            // Keep only the live latest copy; drop keys below the window
-            // (a fresher copy exists, or the vertex was peeled).
-            if (alive(v) && currentKey(v) == key && key >= kRound) insert(v, key)
-            i += 1
-          }
-          again = true
+    // Pull down any ranged bucket that may hold keys inside [k, k+8). One
+    // pass suffices: a re-placed entry lands in a single-key slot or at a
+    // key ≥ k + 8, so no ranged bucket drops back below the window.
+    var b = 0
+    while (b < NRanged) {
+      if (rangedSz(b) > 0 && rangedMin(b) < kRound + 8) {
+        val arr = ranged(b); val sz = rangedSz(b)
+        ranged(b) = EmptyArr; rangedSz(b) = 0; rangedMin(b) = Int.MaxValue
+        var i = 0
+        while (i < sz) {
+          val e = arr(i); val v = unpackV(e); val key = unpackK(e)
+          opsCost += 1
+          // Keep only the live latest copy; drop keys below the window
+          // (a fresher copy exists, or the vertex was peeled).
+          if (alive(v) && currentKey(v) == key && key >= kRound) insert(v, key)
+          i += 1
         }
-        b += 1
       }
+      b += 1
     }
     // Drain the single-key slot for kRound.
     val s = slot(kRound)
