@@ -15,7 +15,7 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import repro.{SparkSpec, TestGraphs}
 import repro.core._
-import repro.graph.LocalGraph
+import repro.graph.{GraphSuite, LocalGraph}
 import repro.sampling.SamplingParams
 import repro.seq.SeqKCore
 import scala.jdk.CollectionConverters._
@@ -291,6 +291,35 @@ class EngineSpec extends SparkSpec {
     assert(skip.getMessage == "partition 0: state at step 1, expected step 5", skip.getMessage)
   }
 
+  test("a state read back from Java serialisation steps as the original does") {
+    // The Spark exchange's cached block may spill to disk (MEMORY_AND_DISK),
+    // so the fields a state builds in its constructor must survive a copy.
+    val g = TestGraphs.hubby(1500, 3, 0.3, 6)
+    val cfg = KCoreConfig.ours.copy(sampling = Some(SamplingParams(threshold = 100)))
+    val local = new LocalExchange(Csr.buildLocal(g, 4), cfg)
+    val initOuts = local.init()
+    assert(initOuts.exists(_.dirV.nonEmpty), "expected sampled hubs")
+    val k = initOuts.map(_.counters.leastKey).min
+    val outs = local.step(SubroundIn(k, roundStart = true, 0, initOuts))
+    val copies = local.states.map { st =>
+      val bytes = new java.io.ByteArrayOutputStream
+      val oos = new java.io.ObjectOutputStream(bytes)
+      oos.writeObject(st)
+      oos.close()
+      new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray)).readObject()
+        .asInstanceOf[PartitionState]
+    }
+    assert(copies.toSeq.map(render) == local.states.toSeq.map(render), "the copies differ before the step")
+    // The input the peel loop builds for the next subround.
+    val least = outs.map(_.counters.leastKey).min
+    val next = SubroundIn(if (least >= 0) math.max(k + 1, least) else k, least >= 0, 1, outs)
+    val fromOriginal = local.states.map(_.advance(next))
+    val fromCopy = copies.map(_.advance(next))
+    assert(fromOriginal.exists(o => o.newlyPeeled.nonEmpty || o.decs.nonEmpty), "the step did nothing")
+    assert(fromCopy.toSeq.map(render) == fromOriginal.toSeq.map(render), "the copies gave other outputs")
+    assert(copies.toSeq.map(render) == local.states.toSeq.map(render), "the copies differ after the step")
+  }
+
   test("a task that fails once, before or after its state advances, is retried to the failure-free result") {
     // A child JVM with this JVM's classpath and options (its own, smaller
     // heap) runs FaultInjectionMain on local[4,3], where Spark retries a task.
@@ -460,6 +489,49 @@ class EngineSpec extends SparkSpec {
     assert(res.passed, res.status.toString)
   }
 
+  /** A `LocalExchange` that checks the rule the peel loop ends a round by:
+    * after every step, the least key over the outputs is ≥ 0 exactly when no
+    * state has a frontier or a pending recount and no output carries a
+    * decrement or a hit. It counts the steps on either side of the rule.
+    */
+  private final class RoundEndCheck(inner: LocalExchange) extends Exchange {
+    var ended, busy = 0
+    var broken = List.empty[String]
+    def init(): Array[SubroundOut] = inner.init()
+    def step(in: SubroundIn): Array[SubroundOut] = {
+      val outs = inner.step(in)
+      val voted = outs.map(_.counters.leastKey).min >= 0
+      val idle = inner.states.forall(st => st.frontier.isEmpty && st.pendingRecount.isEmpty) &&
+        outs.forall(o => o.decs.isEmpty && o.hits.isEmpty)
+      if (voted != idle) broken ::= s"subround ${in.subroundIndex} (k = ${in.k}): least key ≥ 0 is $voted, idle is $idle"
+      if (idle) ended += 1 else busy += 1
+      outs
+    }
+    def gather(steps: Int): Array[Int] = inner.gather(steps)
+    def release(): Unit = inner.release()
+  }
+
+  test("a round ends exactly when every partition is idle (property)") {
+    // The 80 cases of the property test above: same generators and seed.
+    var ended, busy = 0
+    val prop = Prop.forAllNoShrink(graphGen, Gen.choose(1, 17), Gen.oneOf(presets ++ sampled)) {
+      case ((gname, g), nParts, cfg) =>
+        val parts = Csr.buildLocal(g, nParts)
+        val checks = scala.collection.mutable.ArrayBuffer.empty[RoundEndCheck]
+        val (core, _) = PeelEngine.run(g.n, cfg, c => {
+          checks += new RoundEndCheck(new LocalExchange(parts, c)); checks.last })
+        ended += checks.map(_.ended).sum
+        busy += checks.map(_.busy).sum
+        val broken = checks.flatMap(_.broken)
+        (broken.isEmpty :| broken.reverse.mkString("; ") &&
+          (core.toSeq == SeqKCore.bz(g).toSeq) :| "coreness == BZ") :| s"${cfg.name} on $gname, nParts $nParts"
+    }
+    val params = SCTest.Parameters.default.withMinSuccessfulTests(80).withInitialSeed(Seed(20250))
+    val res = SCTest.check(params, prop)
+    assert(res.passed, res.status.toString)
+    assert(ended > 0 && busy > 0, s"ended $ended, busy $busy")
+  }
+
   test("Spark exchange == LocalExchange with several partitions per task (property)") {
     // More partitions than slots, hosted in the derived task count and in 2
     // tasks: each task's outputs are flattened and sorted by pid.
@@ -510,6 +582,19 @@ class EngineSpec extends SparkSpec {
       // Neither attempt leaves a step cached.
       assert(spark.sparkContext.getPersistentRDDs.size == persisted)
     } finally handle.unpersist()
+  }
+
+  test("the default mu restarts once on HPL at nParts 16 and recovers BZ's coreness") {
+    // The suite's one restart at the default μ: four hubs of partition 0 in
+    // sample mode collect μ hits in the last round, and their recounts find
+    // a degree below k (CHANGES.md). Without the restart the coreness is wrong.
+    val g = GraphSuite.byName("HPL").build()
+    val bz = SeqKCore.bz(g).toSeq
+    for (cfg <- KCoreConfig.combos.filter(_.sampling.isDefined)) {
+      val (core, m, _) = LocalExchange.run(g, 16, cfg)
+      assert(core.toSeq == bz, s"${cfg.name} wrong coreness")
+      assert(m.restarts == 1, s"${cfg.name}: $m")
+    }
   }
 
   // ---- technique effect assertions ----------------------------------------
