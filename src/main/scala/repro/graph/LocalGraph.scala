@@ -75,7 +75,7 @@ object LocalGraph {
   /** The CSR `(indptr, adj)` of the first `len` entries of `packed`: edges
     * `src << 32 | dst`, sorted, every src in [lo, lo + nv).
     */
-  def layout(packed: Array[Long], len: Int, lo: Int, nv: Int): (Array[Int], Array[Int]) = {
+  private[repro] def layout(packed: Array[Long], len: Int, lo: Int, nv: Int): (Array[Int], Array[Int]) = {
     val indptr = new Array[Int](nv + 1)
     val adj = new Array[Int](len)
     var i = 0

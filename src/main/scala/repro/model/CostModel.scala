@@ -6,11 +6,11 @@ import repro.engine.RunMetrics
   *
   * The paper's evaluation machine (96 cores, OpenCilk) is modeled with the
   * paper's own formalism: a work-span schedule `T_P = W/P + S_b`, where the
-  * burdened span `S_b` charges ω = 15,000 unit operations per subround
-  * (the Cilkview scheduling-overhead constant, §2) plus each subround's
-  * critical path — the maximum per-partition work, which already contains
-  * the serial application of messages at a hot vertex's owner (the
-  * atomic-contention analogue).
+  * burdened span `S_b` charges ω = `Omega` = 1000 unit operations per
+  * subround (Cilkview's scheduling-overhead constant, §2, scaled to our
+  * graph sizes) plus each subround's critical path — the maximum
+  * per-partition work, which already contains the serial application of
+  * messages at a hot vertex's owner (the atomic-contention analogue).
   *
   * `unitNanos` converts unit operations to seconds for table display
   * (≈ 1 ns/op, a typical simple-op throughput on the paper's 2.1 GHz Xeons).

@@ -585,9 +585,10 @@ class EngineSpec extends SparkSpec {
   }
 
   test("the default mu restarts once on HPL at nParts 16 and recovers BZ's coreness") {
-    // The suite's one restart at the default μ: four hubs of partition 0 in
-    // sample mode collect μ hits in the last round, and their recounts find
-    // a degree below k (CHANGES.md). Without the restart the coreness is wrong.
+    // The suite's one restart at the default μ: hubs of partition 0 in
+    // sample mode lose almost all their degree in the last round, k = 12,
+    // and their recounts find a degree below k (CHANGES.md). Without the
+    // restart the coreness is wrong.
     val g = GraphSuite.byName("HPL").build()
     val bz = SeqKCore.bz(g).toSeq
     for (cfg <- KCoreConfig.combos.filter(_.sampling.isDefined)) {
