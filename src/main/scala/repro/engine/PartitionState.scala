@@ -1,7 +1,7 @@
 package repro.engine
 
 import repro.core.{FixedBuckets, Hierarchical, KCoreConfig, OneBucket, ScanAllBuckets}
-import repro.structures.{BucketStrategy, FixedBucketsStrategy, HierarchicalStrategy, OneBucketStrategy, ScanAllStrategy}
+import repro.structures.{BucketStrategy, FixedBucketsStrategy, HierarchicalStrategy, OneBucketStrategy, ScanAllStrategy, VertexKeys}
 import scala.collection.mutable.ArrayBuilder
 
 /** The mutable per-partition state of the peeling engine. One instance per
@@ -17,8 +17,12 @@ import scala.collection.mutable.ArrayBuilder
   * set (updated from every partition's newly peeled vertices in each
   * subround's input) so exact recounts of sampled vertices can scan their
   * adjacency locally.
+  *
+  * It is also the key view of its own bucket structure: a vertex's key is
+  * its stored degree, it is alive until assigned, and selectable out of
+  * sample mode.
   */
-final class PartitionState(val g: PartitionGraph, val cfg: KCoreConfig) extends Serializable {
+final class PartitionState(val g: PartitionGraph, val cfg: KCoreConfig) extends VertexKeys with Serializable {
   import PartitionState.InProgress
 
   val deg: Array[Int] = Array.tabulate(g.nOwned)(g.degreeLocal)
@@ -31,12 +35,11 @@ final class PartitionState(val g: PartitionGraph, val cfg: KCoreConfig) extends 
   var pendingRecount: Array[Int] = Array.emptyIntArray // owned global ids to recount this subround
   var sampledOwned: Array[Int] = _                     // owned global ids possibly in sample mode (lazily filtered)
   val strategy: BucketStrategy = cfg.buckets match {
-    case ScanAllBuckets => new ScanAllStrategy
-    case OneBucket => new OneBucketStrategy
-    case FixedBuckets => new FixedBucketsStrategy
-    case Hierarchical => new HierarchicalStrategy(KCoreConfig.Theta)
+    case ScanAllBuckets => new ScanAllStrategy(this, g.lo, g.hi)
+    case OneBucket => new OneBucketStrategy(this, g.lo, g.hi)
+    case FixedBuckets => new FixedBucketsStrategy(this, g.lo, g.hi)
+    case Hierarchical => new HierarchicalStrategy(this, g.lo, g.hi, KCoreConfig.Theta)
   }
-  strategy.init(Array.tabulate(g.nOwned)(g.lo + _))
   val dir = new java.util.HashMap[Integer, java.lang.Double]() // replica of the global sampler directory
   var peeledOwnedCount = 0
   private var steps = 0 // subrounds run so far, or InProgress
@@ -58,6 +61,10 @@ final class PartitionState(val g: PartitionGraph, val cfg: KCoreConfig) extends 
   @inline def li(v: Int): Int = v - g.lo
   @inline def isPeeledBit(v: Int): Boolean = (peeled(v >>> 6) & (1L << (v & 63))) != 0
   @inline def setPeeledBit(v: Int): Unit = peeled(v >>> 6) |= (1L << (v & 63))
+
+  def key(v: Int): Int = deg(li(v))
+  def alive(v: Int): Boolean = core(li(v)) == -1
+  def selectable(v: Int): Boolean = mode(li(v)) == 0
 
   /** The output of the last subround, or of init before the first. */
   def lastOut: SubroundOut = out
@@ -101,7 +108,7 @@ final class PartitionState(val g: PartitionGraph, val cfg: KCoreConfig) extends 
     * and charges its ops; the rest are read from `sampledOwned`.
     */
   private[engine] def leastKey(k: Int): Int = {
-    var least = strategy.minKey(v => deg(li(v)), v => core(li(v)) == -1, v => mode(li(v)) == 0)
+    var least = strategy.minKey()
     var i = 0
     while (i < sampledOwned.length) { least = math.min(least, keyOf(sampledOwned(i), k)); i += 1 }
     least

@@ -150,14 +150,12 @@ object SubroundProcessor {
 
     // --- step 4: round start — frontier extraction + validation -------------
     if (in.roundStart) {
-      val alive = (v: Int) => st.core(st.li(v)) == -1
-      val selectable = (v: Int) => st.mode(st.li(v)) == 0
-      val extracted = st.strategy.extract(k, v => st.deg(st.li(v)), alive, selectable)
+      // Alive vertices only, each once: none of them is a root yet.
+      val extracted = st.strategy.extract(k)
       i = 0
       while (i < extracted.length) {
         val v = extracted(i)
-        val j = st.li(v)
-        if (st.core(j) == -1) { st.core(j) = k; roots.add(v) }
+        st.core(st.li(v)) = k; roots.add(v)
         i += 1
       }
       // Validate all sampled owned vertices (Alg. 4 lines 5–6).

@@ -2,8 +2,21 @@ package repro.structures
 
 import scala.collection.mutable.ArrayBuilder
 
+/** The keys a bucket structure orders its vertices by, read when it needs
+  * them: the current key (induced degree), whether the vertex is still
+  * alive (not yet assigned), and whether it is selectable (not in sample
+  * mode, where the stored degree is only an estimate). An alive vertex stays
+  * in the active set; only an alive, selectable one is extracted.
+  */
+trait VertexKeys {
+  def key(v: Int): Int
+  def alive(v: Int): Boolean
+  def selectable(v: Int): Boolean
+}
+
 /** Round-start frontier-extraction strategies over one engine partition's
-  * owned vertices (Alg. 1 line 5 / paper §5).
+  * owned vertices [lo, hi) (Alg. 1 line 5 / paper §5). Each reads its keys
+  * from the [[VertexKeys]] it is built with.
   *
   * - [[ScanAllStrategy]]    — ParK/PKC: rescan every owned vertex each round
   *                            (no active set ⇒ O(m + kmax·n) total work).
@@ -20,35 +33,43 @@ import scala.collection.mutable.ArrayBuilder
   * round starts at the least key still in use, not at k + 1.
   */
 sealed trait BucketStrategy extends Serializable {
-  def init(owned: Array[Int]): Unit
   /** Hook on every induced-degree decrement of an owned vertex. */
   def onDecrease(v: Int, newKey: Int): Unit
-  /** Frontier for round k: alive, selectable owned vertices with current
-    * degree == k. `alive` (not yet assigned) controls active-set retention;
-    * `selectable` (not in sample mode) additionally gates extraction, since
-    * a sampled vertex's stored degree is only an estimate.
+  /** Frontier for round k: the alive, selectable owned vertices with key k,
+    * each once.
     */
-  def extract(k: Int, degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Array[Int]
-  /** The least current degree of an alive, selectable owned vertex, or
-    * `Int.MaxValue` if there is none; charged to [[ops]]. [[ScanAllStrategy]]
-    * answers 0, which the engine reads as "no round may be skipped".
+  def extract(k: Int): Array[Int]
+  /** The least key of an alive, selectable owned vertex, or `Int.MaxValue`
+    * if there is none; charged to [[ops]]. [[ScanAllStrategy]] answers 0,
+    * which the engine reads as "no round may be skipped".
     */
-  def minKey(degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Int
+  def minKey(): Int
   def ops: Long
 }
 
 object BucketStrategy {
-  /** The least degree of an alive, selectable vertex of `vs`, or `Int.MaxValue`. */
-  private[structures] def minDegree(vs: Array[Int], degOf: Int => Int, alive: Int => Boolean,
-                                    selectable: Int => Boolean): Int = {
+  /** The least key of an alive, selectable vertex of `vs`, or `Int.MaxValue`. */
+  private[structures] def minDegree(keys: VertexKeys, vs: Array[Int]): Int = {
     var min = Int.MaxValue
     var i = 0
     while (i < vs.length) {
       val v = vs(i)
-      if (alive(v) && selectable(v) && degOf(v) < min) min = degOf(v)
+      if (keys.alive(v) && keys.selectable(v) && keys.key(v) < min) min = keys.key(v)
       i += 1
     }
     min
+  }
+
+  /** Sort + dedup an int array (a vertex may have several live copies). */
+  private[structures] def dedupSorted(raw: Array[Int]): Array[Int] = {
+    if (raw.length <= 1) return raw
+    java.util.Arrays.sort(raw)
+    var w = 0; var i = 0
+    while (i < raw.length) {
+      if (w == 0 || raw(w - 1) != raw(i)) { raw(w) = raw(i); w += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(raw, w)
   }
 }
 
@@ -56,43 +77,39 @@ object BucketStrategy {
   * keeps k + 1 as the next round: the O(kmax·n) rescan defines those
   * baselines.
   */
-final class ScanAllStrategy extends BucketStrategy {
-  private var owned: Array[Int] = Array.emptyIntArray
+final class ScanAllStrategy(keys: VertexKeys, lo: Int, hi: Int) extends BucketStrategy {
   private var opsCount: Long = 0L
 
-  def init(o: Array[Int]): Unit = { owned = o }
   def onDecrease(v: Int, newKey: Int): Unit = ()
-  def extract(k: Int, degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Array[Int] = {
-    opsCount += owned.length
+  def extract(k: Int): Array[Int] = {
+    opsCount += hi - lo
     val out = new ArrayBuilder.ofInt
-    var i = 0
-    while (i < owned.length) {
-      val v = owned(i)
-      if (alive(v) && selectable(v) && degOf(v) == k) out += v
-      i += 1
+    var v = lo
+    while (v < hi) {
+      if (keys.alive(v) && keys.selectable(v) && keys.key(v) == k) out += v
+      v += 1
     }
     out.result()
   }
-  def minKey(degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Int = 0
+  def minKey(): Int = 0
   def ops: Long = opsCount
 }
 
 /** Active set as a compact array, repacked (PACKed) every round. */
-final class OneBucketStrategy extends BucketStrategy {
-  private[structures] var active: Array[Int] = Array.emptyIntArray
+final class OneBucketStrategy(keys: VertexKeys, lo: Int, hi: Int) extends BucketStrategy {
+  private[structures] var active: Array[Int] = Array.range(lo, hi)
   private var opsCount: Long = 0L
 
-  def init(o: Array[Int]): Unit = { active = o.clone() }
   def onDecrease(v: Int, newKey: Int): Unit = ()
-  def extract(k: Int, degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Array[Int] = {
+  def extract(k: Int): Array[Int] = {
     opsCount += active.length
     val out = new ArrayBuilder.ofInt
     val keep = new ArrayBuilder.ofInt
     var i = 0
     while (i < active.length) {
       val v = active(i)
-      if (alive(v)) {
-        if (selectable(v) && degOf(v) == k) out += v
+      if (keys.alive(v)) {
+        if (keys.selectable(v) && keys.key(v) == k) out += v
         else keep += v
       }
       i += 1
@@ -100,9 +117,9 @@ final class OneBucketStrategy extends BucketStrategy {
     active = keep.result()
     out.result()
   }
-  def minKey(degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Int = {
+  def minKey(): Int = {
     opsCount += active.length
-    BucketStrategy.minDegree(active, degOf, alive, selectable)
+    BucketStrategy.minDegree(keys, active)
   }
   def ops: Long = opsCount
 }
@@ -112,15 +129,13 @@ final class OneBucketStrategy extends BucketStrategy {
   * DecreaseKey inserts a copy into the target bucket when the new key falls
   * inside the current window. Stale copies are filtered on extraction.
   */
-final class FixedBucketsStrategy extends BucketStrategy {
+final class FixedBucketsStrategy(keys: VertexKeys, lo: Int, hi: Int) extends BucketStrategy {
   private final val b = 16 // Julienne's bucket count
-  private var active: Array[Int] = Array.emptyIntArray
+  private var active: Array[Int] = Array.range(lo, hi)
   private val buckets: Array[Array[Int]] = Array.fill(b)(Array.emptyIntArray)
   private val bucketSz: Array[Int] = new Array[Int](b)
   private var windowStart: Int = -1 // k of the last rebuild; -1 = not built
   private var opsCount: Long = 0L
-
-  def init(o: Array[Int]): Unit = { active = o.clone() }
 
   private def pushBucket(i: Int, v: Int): Unit = {
     if (bucketSz(i) == buckets(i).length)
@@ -137,7 +152,7 @@ final class FixedBucketsStrategy extends BucketStrategy {
     }
   }
 
-  private def rebuild(k: Int, degOf: Int => Int, alive: Int => Boolean): Unit = {
+  private def rebuild(k: Int): Unit = {
     windowStart = k
     java.util.Arrays.fill(bucketSz, 0)
     val keep = new ArrayBuilder.ofInt
@@ -145,9 +160,9 @@ final class FixedBucketsStrategy extends BucketStrategy {
     while (i < active.length) {
       val v = active(i)
       opsCount += 1
-      if (alive(v)) {
+      if (keys.alive(v)) {
         keep += v
-        val idx = degOf(v) - k
+        val idx = keys.key(v) - k
         if (idx >= 0 && idx < b) pushBucket(idx, v)
       }
       i += 1
@@ -155,8 +170,8 @@ final class FixedBucketsStrategy extends BucketStrategy {
     active = keep.result()
   }
 
-  def extract(k: Int, degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Array[Int] = {
-    if (windowStart < 0 || k >= windowStart + b) rebuild(k, degOf, alive)
+  def extract(k: Int): Array[Int] = {
+    if (windowStart < 0 || k >= windowStart + b) rebuild(k)
     val idx = k - windowStart
     val out = new ArrayBuilder.ofInt
     val arr = buckets(idx); val sz = bucketSz(idx)
@@ -165,17 +180,17 @@ final class FixedBucketsStrategy extends BucketStrategy {
     while (i < sz) {
       val v = arr(i)
       opsCount += 1
-      if (alive(v) && selectable(v) && degOf(v) == k) out += v
+      if (keys.alive(v) && keys.selectable(v) && keys.key(v) == k) out += v
       i += 1
     }
-    Hbs.dedupSorted(out.result())
+    BucketStrategy.dedupSorted(out.result())
   }
 
   /** The first window bucket holding a live, selectable copy, else the least
     * key in the overflow. The stale copies it reads leave their bucket, so
     * each is read once.
     */
-  def minKey(degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Int = {
+  def minKey(): Int = {
     if (windowStart >= 0) {
       var idx = 0
       while (idx < b) {
@@ -185,8 +200,8 @@ final class FixedBucketsStrategy extends BucketStrategy {
         while (i < bucketSz(idx)) {
           val v = arr(i)
           opsCount += 1
-          if (!alive(v) || degOf(v) != key) { bucketSz(idx) -= 1; arr(i) = arr(bucketSz(idx)) }
-          else if (selectable(v)) return key
+          if (!keys.alive(v) || keys.key(v) != key) { bucketSz(idx) -= 1; arr(i) = arr(bucketSz(idx)) }
+          else if (keys.selectable(v)) return key
           else i += 1
         }
         idx += 1
@@ -194,7 +209,7 @@ final class FixedBucketsStrategy extends BucketStrategy {
     }
     // No live, selectable copy in the window: every such key lies above it.
     opsCount += active.length
-    BucketStrategy.minDegree(active, degOf, alive, selectable)
+    BucketStrategy.minDegree(keys, active)
   }
 
   def ops: Long = opsCount
@@ -203,37 +218,29 @@ final class FixedBucketsStrategy extends BucketStrategy {
 /** The paper's final design (§5.3): one bucket while k < θ, then switch to
   * the hierarchical bucketing structure once the θ-core is reached.
   */
-final class HierarchicalStrategy(val theta: Int) extends BucketStrategy {
-  private var one = new OneBucketStrategy
-  private var hbs: Hbs = null
-  private var switched = false
+final class HierarchicalStrategy(keys: VertexKeys, lo: Int, hi: Int, val theta: Int) extends BucketStrategy {
+  private var one = new OneBucketStrategy(keys, lo, hi)
+  private var hbs: Hbs = null // built at the first round k ≥ θ
 
-  def init(o: Array[Int]): Unit = one.init(o)
+  def onDecrease(v: Int, newKey: Int): Unit = if (hbs != null) hbs.insert(v, newKey)
 
-  def onDecrease(v: Int, newKey: Int): Unit =
-    if (switched) hbs.decreaseKey(v, newKey) else one.onDecrease(v, newKey)
-
-  def extract(k: Int, degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Array[Int] = {
-    if (!switched && k >= theta) {
+  def extract(k: Int): Array[Int] = {
+    if (hbs == null && k >= theta) {
       // Build the HBS over the remaining active vertices.
-      switched = true
-      hbs = new Hbs
+      hbs = new Hbs(keys)
       val remaining = one.active
       var i = 0
       while (i < remaining.length) {
         val v = remaining(i)
-        if (alive(v)) hbs.insert(v, degOf(v))
+        if (keys.alive(v)) hbs.insert(v, keys.key(v))
         i += 1
       }
       one = null
     }
-    if (switched) hbs.extractForRound(k, degOf, v => alive(v) && selectable(v))
-    else one.extract(k, degOf, alive, selectable)
+    if (hbs != null) hbs.extractForRound(k) else one.extract(k)
   }
 
-  def minKey(degOf: Int => Int, alive: Int => Boolean, selectable: Int => Boolean): Int =
-    if (switched) hbs.minKey(degOf, v => alive(v) && selectable(v))
-    else one.minKey(degOf, alive, selectable)
+  def minKey(): Int = if (hbs != null) hbs.minKey() else one.minKey()
 
   def ops: Long = (if (one != null) one.ops else 0L) + (if (hbs != null) hbs.opsCost else 0L)
 }

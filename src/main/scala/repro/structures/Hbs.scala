@@ -4,12 +4,13 @@ import scala.collection.mutable.ArrayBuilder
 
 /** Hierarchical Bucketing Structure (paper §5.2–5.3).
   *
-  * Entries are (vertex, key) pairs. Relative to the current minimum key k,
-  * the first 8 buckets are single-key (k … k+7, stored circularly by
-  * key mod 8) and ranged bucket 8+t covers [k + 8·2^t, k + 8·2^{t+1} − 1].
-  * `decreaseKey` inserts a fresh copy without deleting the old one — stale
-  * copies (stored key ≠ current key, or vertex no longer alive) are filtered
-  * on extraction, exactly as in the paper's hash-bag-based design, so the
+  * Entries are (vertex, key) pairs; the current keys are read from `keys`.
+  * Relative to the current minimum key k, the first 8 buckets are single-key
+  * (k … k+7, stored circularly by key mod 8) and ranged bucket 8+t covers
+  * [k + 8·2^t, k + 8·2^{t+1} − 1]. DecreaseKey is an [[insert]] of a fresh
+  * copy, without deleting the old one — stale copies (stored key ≠ current
+  * key, or vertex no longer alive and selectable) are filtered on
+  * extraction, exactly as in the paper's hash-bag-based design, so the
   * latest copy of a vertex always carries its current induced degree.
   *
   * Ranged buckets are redistributed lazily: each ranged bucket tracks a lower
@@ -21,7 +22,7 @@ import scala.collection.mutable.ArrayBuilder
   * Single-threaded per engine partition; `opsCost` accumulates structure
   * operations for the cost model.
   */
-final class Hbs extends Serializable {
+final class Hbs(keys: VertexKeys) extends Serializable {
 
   import Hbs._
 
@@ -40,11 +41,6 @@ final class Hbs extends Serializable {
 
   /** Ranged bucket index for an offset d = key − k with d ≥ 8. */
   @inline private def rangedIdx(d: Int): Int = 31 - Integer.numberOfLeadingZeros(d >>> 3)
-
-  /** Logical bucket index of offset d = key − k: the first 8 buckets are
-    * single-key, bucket 8+t covers [8·2^t, 8·2^{t+1}).
-    */
-  def bucketIdx(d: Int): Int = if (d < 8) math.max(0, d) else 8 + rangedIdx(d)
 
   private def push(store: Array[Array[Long]], szs: Array[Int], b: Int, e: Long): Unit = {
     if (szs(b) == store(b).length) {
@@ -67,16 +63,13 @@ final class Hbs extends Serializable {
     }
   }
 
-  /** DecreaseKey — insert a fresh copy; old copies filtered lazily. */
-  def decreaseKey(v: Int, newKey: Int): Unit = insert(v, newKey)
+  /** A copy of `v` at `key` is live: `v` is alive and selectable, and `key` is its current key. */
+  @inline private def live(v: Int, key: Int): Boolean = keys.alive(v) && keys.selectable(v) && keys.key(v) == key
 
-  def totalEntries: Int = singleSz.sum + rangedSz.sum
-
-  /** Extract the frontier for round `kRound`: every alive vertex whose
-    * current key equals `kRound`. `currentKey`/`alive` come from the
-    * partition state (induced-degree array / assigned flags).
+  /** Extract the frontier for round `kRound`: every live vertex whose
+    * current key equals `kRound`, each once.
     */
-  def extractForRound(kRound: Int, currentKey: Int => Int, alive: Int => Boolean): Array[Int] = {
+  def extractForRound(kRound: Int): Array[Int] = {
     k = kRound
     // Pull down any ranged bucket that may hold keys inside [k, k+8). One
     // pass suffices: a re-placed entry lands in a single-key slot or at a
@@ -92,7 +85,7 @@ final class Hbs extends Serializable {
           opsCost += 1
           // Keep only the live latest copy; drop keys below the window
           // (a fresher copy exists, or the vertex was peeled).
-          if (alive(v) && currentKey(v) == key && key >= kRound) insert(v, key)
+          if (key >= kRound && live(v, key)) insert(v, key)
           i += 1
         }
       }
@@ -107,23 +100,23 @@ final class Hbs extends Serializable {
     while (i < sz) {
       val e = arr(i); val v = unpackV(e)
       opsCost += 1
-      if (alive(v) && currentKey(v) == kRound) out += v
+      if (live(v, kRound)) out += v
       i += 1
     }
-    Hbs.dedupSorted(out.result())
+    BucketStrategy.dedupSorted(out.result())
   }
 
-  /** The least current key of an `alive` vertex, or `Int.MaxValue`; keys
+  /** The least current key of a live vertex, or `Int.MaxValue`; keys
     * are at least the last extracted round, as in the engine. It reads the
     * single-key slots of [k, k+8) in key order, then the ranged buckets in
     * order of `rangedMin`. The stale copies it reads leave their bucket, so
     * each is read once.
     */
-  def minKey(currentKey: Int => Int, alive: Int => Boolean): Int = {
+  def minKey(): Int = {
     var key = k
     while (key < k + 8) {
       // The slot's keys are ≡ key (mod 8) and below k + 8: only key can be live.
-      if (leastLive(singles, singleSz, slot(key), key, currentKey, alive) == key) return key
+      if (leastLive(singles, singleSz, slot(key), key) == key) return key
       key += 1
     }
     // Every ranged key is ≥ k + 8, since the last extraction pulled down each
@@ -139,7 +132,7 @@ final class Hbs extends Serializable {
       }
       if (b < 0) least = Int.MaxValue
       else {
-        val read = leastLive(ranged, rangedSz, b, rangedMin(b), currentKey, alive)
+        val read = leastLive(ranged, rangedSz, b, rangedMin(b))
         if (read == rangedMin(b)) least = read else rangedMin(b) = read
       }
     }
@@ -150,15 +143,14 @@ final class Hbs extends Serializable {
     * stale copy out for the last one; returns the least live key read, or
     * `Int.MaxValue`. Read to its end, the bucket holds live copies only.
     */
-  private def leastLive(store: Array[Array[Long]], szs: Array[Int], b: Int, stopAt: Int,
-                        currentKey: Int => Int, alive: Int => Boolean): Int = {
+  private def leastLive(store: Array[Array[Long]], szs: Array[Int], b: Int, stopAt: Int): Int = {
     val arr = store(b)
     var least = Int.MaxValue
     var i = 0
     while (i < szs(b) && least > stopAt) {
       val e = arr(i); val v = unpackV(e); val key = unpackK(e)
       opsCost += 1
-      if (alive(v) && currentKey(v) == key) { least = math.min(least, key); i += 1 }
+      if (live(v, key)) { least = math.min(least, key); i += 1 }
       else { szs(b) -= 1; arr(i) = arr(szs(b)) }
     }
     least
@@ -172,16 +164,4 @@ object Hbs {
   @inline private def pack(v: Int, key: Int): Long = (key.toLong << 32) | (v.toLong & 0xffffffffL)
   @inline private def unpackV(e: Long): Int = e.toInt
   @inline private def unpackK(e: Long): Int = (e >>> 32).toInt
-
-  /** Sort + dedup an int array (a vertex may have several live copies). */
-  def dedupSorted(raw: Array[Int]): Array[Int] = {
-    if (raw.length <= 1) return raw
-    java.util.Arrays.sort(raw)
-    var w = 0; var i = 0
-    while (i < raw.length) {
-      if (w == 0 || raw(w - 1) != raw(i)) { raw(w) = raw(i); w += 1 }
-      i += 1
-    }
-    java.util.Arrays.copyOf(raw, w)
-  }
 }
