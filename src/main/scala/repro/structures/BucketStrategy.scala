@@ -219,7 +219,7 @@ final class FixedBucketsStrategy(keys: VertexKeys, lo: Int, hi: Int) extends Buc
   * the hierarchical bucketing structure once the θ-core is reached.
   */
 final class HierarchicalStrategy(keys: VertexKeys, lo: Int, hi: Int, val theta: Int) extends BucketStrategy {
-  private var one = new OneBucketStrategy(keys, lo, hi)
+  private val one = new OneBucketStrategy(keys, lo, hi)
   private var hbs: Hbs = null // built at the first round k ≥ θ
 
   def onDecrease(v: Int, newKey: Int): Unit = if (hbs != null) hbs.insert(v, newKey)
@@ -235,12 +235,12 @@ final class HierarchicalStrategy(keys: VertexKeys, lo: Int, hi: Int, val theta: 
         if (keys.alive(v)) hbs.insert(v, keys.key(v))
         i += 1
       }
-      one = null
+      one.active = Array.emptyIntArray // its ops stay in the sum below
     }
     if (hbs != null) hbs.extractForRound(k) else one.extract(k)
   }
 
   def minKey(): Int = if (hbs != null) hbs.minKey() else one.minKey()
 
-  def ops: Long = (if (one != null) one.ops else 0L) + (if (hbs != null) hbs.opsCost else 0L)
+  def ops: Long = one.ops + (if (hbs != null) hbs.opsCost else 0L)
 }

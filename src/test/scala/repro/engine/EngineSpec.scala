@@ -82,12 +82,12 @@ class EngineSpec extends SparkSpec {
     ("Plain", "random-dense") -> "RunMetrics(Plain,0.0,4,23,19,12169,5512,2309,0,4108,0,476,4108,18,5017,0,0)",
     ("Plain", "random-sparse") -> "RunMetrics(Plain,0.0,4,18,15,5197,1386,2473,0,1038,0,146,1038,3,2149,0,0)",
     ("Ours", "caterpillar") -> "RunMetrics(Ours,0.0,2,5,3,1002,288,558,0,16,0,105,16,2,365,0,0)",
-    ("Ours", "clique-20") -> "RunMetrics(Ours,0.0,1,2,1,780,380,80,0,300,0,0,300,15,980,0,0)",
+    ("Ours", "clique-20") -> "RunMetrics(Ours,0.0,1,2,1,800,380,100,0,300,0,0,300,15,980,0,0)",
     ("Ours", "figure1") -> "RunMetrics(Ours,0.0,4,9,6,130,26,71,0,20,0,0,20,2,468,0,0)",
     ("Ours", "grid-16x16") -> "RunMetrics(Ours,0.0,1,3,2,2204,960,892,0,96,0,416,96,1,729,0,0)",
-    ("Ours", "hcns-25") -> "RunMetrics(Ours,0.0,25,49,25,2992,1370,633,0,604,0,1,604,24,3382,0,0)",
+    ("Ours", "hcns-25") -> "RunMetrics(Ours,0.0,25,49,25,4557,1370,2198,0,604,0,1,604,24,3382,0,0)",
     ("Ours", "path-50") -> "RunMetrics(Ours,0.0,1,3,2,327,98,173,0,6,0,46,6,1,205,0,0)",
-    ("Ours", "random-dense") -> "RunMetrics(Ours,0.0,4,20,16,14224,5512,4375,0,4108,0,514,4108,22,4492,0,0)",
+    ("Ours", "random-dense") -> "RunMetrics(Ours,0.0,4,20,16,14424,5512,4575,0,4108,0,514,4108,22,4492,0,0)",
     ("Ours", "random-sparse") -> "RunMetrics(Ours,0.0,4,15,12,5197,1386,2473,0,1038,0,156,1038,4,1903,0,0)",
     ("Julienne", "caterpillar") -> "RunMetrics(Julienne,0.0,2,24,22,2190,288,920,288,266,0,0,288,2,1539,0,0)",
     ("Julienne", "clique-20") -> "RunMetrics(Julienne,0.0,1,2,1,1340,380,100,380,80,0,0,380,19,1236,0,0)",
@@ -133,19 +133,19 @@ class EngineSpec extends SparkSpec {
   private val expectedComboFingerprints: Map[(String, String), String] = Map(
     ("Plain", "random-dense") -> "RunMetrics(Plain,0.0,4,23,19,12169,5512,2309,0,4108,0,476,4108,18,5017,0,0)",
     ("Plain", "caterpillar") -> "RunMetrics(Plain,0.0,2,24,22,1002,288,558,0,16,0,105,16,1,515,0,0)",
-    ("HBS", "random-dense") -> "RunMetrics(HBS,0.0,4,23,19,14236,5512,4376,0,4108,0,476,4108,18,5017,0,0)",
+    ("HBS", "random-dense") -> "RunMetrics(HBS,0.0,4,23,19,14436,5512,4576,0,4108,0,476,4108,18,5017,0,0)",
     ("HBS", "caterpillar") -> "RunMetrics(HBS,0.0,2,24,22,1002,288,558,0,16,0,105,16,1,515,0,0)",
     ("Sample", "random-dense") -> "RunMetrics(Sample,0.0,4,23,19,12169,5512,2309,0,4108,0,476,4108,18,5017,0,0)",
     ("Sample", "caterpillar") -> "RunMetrics(Sample,0.0,2,24,22,1002,288,558,0,16,0,105,16,1,515,0,0)",
-    ("Sample+HBS", "random-dense") -> "RunMetrics(Sample+HBS,0.0,4,23,19,14236,5512,4376,0,4108,0,476,4108,18,5017,0,0)",
+    ("Sample+HBS", "random-dense") -> "RunMetrics(Sample+HBS,0.0,4,23,19,14436,5512,4576,0,4108,0,476,4108,18,5017,0,0)",
     ("Sample+HBS", "caterpillar") -> "RunMetrics(Sample+HBS,0.0,2,24,22,1002,288,558,0,16,0,105,16,1,515,0,0)",
     ("VGC", "random-dense") -> "RunMetrics(VGC,0.0,4,20,16,12113,5512,2264,0,4108,0,514,4108,22,4492,0,0)",
     ("VGC", "caterpillar") -> "RunMetrics(VGC,0.0,2,5,3,1002,288,558,0,16,0,105,16,2,365,0,0)",
-    ("VGC+HBS", "random-dense") -> "RunMetrics(VGC+HBS,0.0,4,20,16,14224,5512,4375,0,4108,0,514,4108,22,4492,0,0)",
+    ("VGC+HBS", "random-dense") -> "RunMetrics(VGC+HBS,0.0,4,20,16,14424,5512,4575,0,4108,0,514,4108,22,4492,0,0)",
     ("VGC+HBS", "caterpillar") -> "RunMetrics(VGC+HBS,0.0,2,5,3,1002,288,558,0,16,0,105,16,2,365,0,0)",
     ("VGC+Sample", "random-dense") -> "RunMetrics(VGC+Sample,0.0,4,20,16,12113,5512,2264,0,4108,0,514,4108,22,4492,0,0)",
     ("VGC+Sample", "caterpillar") -> "RunMetrics(VGC+Sample,0.0,2,5,3,1002,288,558,0,16,0,105,16,2,365,0,0)",
-    ("All", "random-dense") -> "RunMetrics(All,0.0,4,20,16,14224,5512,4375,0,4108,0,514,4108,22,4492,0,0)",
+    ("All", "random-dense") -> "RunMetrics(All,0.0,4,20,16,14424,5512,4575,0,4108,0,514,4108,22,4492,0,0)",
     ("All", "caterpillar") -> "RunMetrics(All,0.0,2,5,3,1002,288,558,0,16,0,105,16,2,365,0,0)",
   )
 
@@ -492,14 +492,20 @@ class EngineSpec extends SparkSpec {
   /** A `LocalExchange` that checks the rule the peel loop ends a round by:
     * after every step, the least key over the outputs is ≥ 0 exactly when no
     * state has a frontier or a pending recount and no output carries a
-    * decrement or a hit. It counts the steps on either side of the rule.
+    * decrement or a hit. It counts the steps on either side of the rule, and
+    * checks that no output charges negative `work` or `structOps`.
     */
   private final class RoundEndCheck(inner: LocalExchange) extends Exchange {
     var ended, busy = 0
     var broken = List.empty[String]
-    def init(): Array[SubroundOut] = inner.init()
+    private def charged(at: String, outs: Array[SubroundOut]): Array[SubroundOut] = {
+      for (o <- outs if o.counters.work < 0 || o.counters.structOps < 0)
+        broken ::= s"$at, partition ${o.pid}: work ${o.counters.work}, structOps ${o.counters.structOps}"
+      outs
+    }
+    def init(): Array[SubroundOut] = charged("init", inner.init())
     def step(in: SubroundIn): Array[SubroundOut] = {
-      val outs = inner.step(in)
+      val outs = charged(s"subround ${in.subroundIndex}", inner.step(in))
       val voted = outs.map(_.counters.leastKey).min >= 0
       val idle = inner.states.forall(st => st.frontier.isEmpty && st.pendingRecount.isEmpty) &&
         outs.forall(o => o.decs.isEmpty && o.hits.isEmpty)
@@ -511,15 +517,20 @@ class EngineSpec extends SparkSpec {
     def release(): Unit = inner.release()
   }
 
+  /** `PeelEngine.run` in-thread, every attempt's exchange wrapped in a [[RoundEndCheck]]. */
+  private def runChecked(g: LocalGraph, nParts: Int, cfg: KCoreConfig): (Array[Int], Seq[RoundEndCheck]) = {
+    val parts = Csr.buildLocal(g, nParts)
+    val checks = scala.collection.mutable.ArrayBuffer.empty[RoundEndCheck]
+    val (core, _) = PeelEngine.run(g.n, cfg, c => { checks += new RoundEndCheck(new LocalExchange(parts, c)); checks.last })
+    (core, checks.toSeq)
+  }
+
   test("a round ends exactly when every partition is idle (property)") {
     // The 80 cases of the property test above: same generators and seed.
     var ended, busy = 0
     val prop = Prop.forAllNoShrink(graphGen, Gen.choose(1, 17), Gen.oneOf(presets ++ sampled)) {
       case ((gname, g), nParts, cfg) =>
-        val parts = Csr.buildLocal(g, nParts)
-        val checks = scala.collection.mutable.ArrayBuffer.empty[RoundEndCheck]
-        val (core, _) = PeelEngine.run(g.n, cfg, c => {
-          checks += new RoundEndCheck(new LocalExchange(parts, c)); checks.last })
+        val (core, checks) = runChecked(g, nParts, cfg)
         ended += checks.map(_.ended).sum
         busy += checks.map(_.busy).sum
         val broken = checks.flatMap(_.broken)
@@ -530,6 +541,16 @@ class EngineSpec extends SparkSpec {
     val res = SCTest.check(params, prop)
     assert(res.passed, res.status.toString)
     assert(ended > 0 && busy > 0, s"ended $ended, busy $busy")
+  }
+
+  test("no output charges negative work or structOps when HBS takes over at θ") {
+    // The generated graphs above stay below the θ-core; these reach it.
+    for ((gname, g) <- graphs; cfg <- KCoreConfig.ours +: KCoreConfig.combos if cfg.buckets == Hierarchical) {
+      val (core, checks) = runChecked(g, 4, cfg)
+      val broken = checks.flatMap(_.broken)
+      assert(broken.isEmpty, s"${cfg.name} on $gname: ${broken.reverse.mkString("; ")}")
+      assert(core.toSeq == SeqKCore.bz(g).toSeq, s"${cfg.name} on $gname")
+    }
   }
 
   test("Spark exchange == LocalExchange with several partitions per task (property)") {
