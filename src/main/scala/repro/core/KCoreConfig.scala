@@ -59,19 +59,19 @@ object KCoreConfig {
     */
   def pkc: KCoreConfig = KCoreConfig("PKC", Online, Int.MaxValue, None, ScanAllBuckets)
 
-  /** The 8 technique combinations of Tab. 3: {VGC} × {sampling} × {HBS}. */
+  /** The 8 technique combinations of Tab. 3, {VGC} × {sampling} × {HBS},
+    * in the paper's column order ("All" is VGC+Sample+HBS).
+    */
   def combos: Seq[KCoreConfig] = {
-    for {
-      (vgc, vn) <- Seq((0, ""), (VgcDefault, "VGC"))
-      (smp, sn) <- Seq((None: Option[SamplingParams], ""), (Some(SamplingParams()), "Sample"))
-      (bkt, bn) <- Seq((OneBucket: BucketChoice, ""), (Hierarchical: BucketChoice, "HBS"))
-    } yield {
-      val parts = Seq(vn, sn, bn).filter(_.nonEmpty)
-      val nm =
-        if (parts.isEmpty) "Plain"
-        else if (parts.size == 3) "All" // paper's name for VGC+Sample+HBS
-        else parts.mkString("+")
-      KCoreConfig(nm, Online, vgc, smp, bkt)
-    }
+    val sample = Some(SamplingParams())
+    Seq(
+      KCoreConfig("Plain"),
+      KCoreConfig("VGC", vgcQueue = VgcDefault),
+      KCoreConfig("Sample", sampling = sample),
+      KCoreConfig("HBS", buckets = Hierarchical),
+      KCoreConfig("VGC+Sample", vgcQueue = VgcDefault, sampling = sample),
+      KCoreConfig("VGC+HBS", vgcQueue = VgcDefault, buckets = Hierarchical),
+      KCoreConfig("Sample+HBS", sampling = sample, buckets = Hierarchical),
+      KCoreConfig("All", vgcQueue = VgcDefault, sampling = sample, buckets = Hierarchical))
   }
 }

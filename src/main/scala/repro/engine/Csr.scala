@@ -72,16 +72,12 @@ object Csr {
     Array.tabulate(nParts) { pid =>
       val lo = boundOf(pid, g.n, nParts)
       val hi = boundOf(pid + 1, g.n, nParts)
-      val indptr = new Array[Int](hi - lo + 1)
-      var v = lo
-      while (v < hi) { indptr(v - lo + 1) = indptr(v - lo) + g.degree(v); v += 1 }
-      val adj = new Array[Int](indptr(hi - lo))
-      v = lo
-      while (v < hi) {
-        System.arraycopy(g.adj, g.indptr(v), adj, indptr(v - lo), g.degree(v))
-        v += 1
-      }
-      PartitionGraph(pid, g.n, lo, hi, indptr, adj)
+      // The range's slice of g's CSR, offsets shifted to start at 0.
+      val indptr = java.util.Arrays.copyOfRange(g.indptr, lo, hi + 1)
+      val base = indptr(0)
+      var i = 0
+      while (i < indptr.length) { indptr(i) -= base; i += 1 }
+      PartitionGraph(pid, g.n, lo, hi, indptr, java.util.Arrays.copyOfRange(g.adj, base, g.indptr(hi)))
     }
   }
 }

@@ -13,13 +13,7 @@ import repro.seq.SeqKCore
 object Table3Harness {
 
   /** Paper column order. */
-  val comboNames: Seq[String] =
-    Seq("Plain", "VGC", "Sample", "HBS", "VGC+Sample", "VGC+HBS", "Sample+HBS", "All")
-
-  def comboConfigs: Seq[KCoreConfig] = {
-    val byName = KCoreConfig.combos.map(c => c.name -> c).toMap
-    comboNames.map(byName)
-  }
+  val comboNames: Seq[String] = KCoreConfig.combos.map(_.name)
 
   /** Paper Table 3 raw seconds, in `comboNames` order. */
   val paperSeconds: Map[String, Seq[Double]] = Map(
@@ -57,12 +51,12 @@ object Table3Harness {
   def runGraph(spark: SparkSession, spec: GraphSpec, nParts: Int = 16,
                verbose: Boolean = true): Row = {
     val g = spec.build()
-    Row(spec, Table2Harness.runConfigs(spark, "table3", spec.name, g, SeqKCore.bz(g), comboConfigs, nParts, verbose))
+    Row(spec, Table2Harness.runConfigs(spark, "table3", spec.name, g, SeqKCore.bz(g), KCoreConfig.combos, nParts, verbose))
   }
 
   def run(spark: SparkSession, names: Seq[String] = GraphSuite.all.map(_.name),
           nParts: Int = 16): Seq[Row] = {
-    Table2Harness.warmup(spark, comboConfigs)
+    Table2Harness.warmup(spark, KCoreConfig.combos)
     names.map(n => runGraph(spark, GraphSuite.byName(n), nParts))
   }
 
