@@ -544,7 +544,7 @@ class EngineSpec extends SparkSpec {
   }
 
   test("no output charges negative work or structOps when HBS takes over at θ") {
-    // The generated graphs above stay below the θ-core; these reach it.
+    // The generated graphs above stay below the θ-core; several of these reach it.
     for ((gname, g) <- graphs; cfg <- KCoreConfig.ours +: KCoreConfig.combos if cfg.buckets == Hierarchical) {
       val (core, checks) = runChecked(g, 4, cfg)
       val broken = checks.flatMap(_.broken)
