@@ -16,7 +16,10 @@ final case class GraphHandle(base: RDD[PartitionGraph], n: Int, nParts: Int) {
 /** Public API of the parallel k-core decomposition. */
 object ParallelKCore {
 
-  /** Lazy distributed CSR build from a canonical symmetric edge DataFrame. */
+  /** Lazy distributed CSR build from a symmetric edge DataFrame with no
+    * self-loops, duplicates allowed (as `GraphOps.symmetrize` gives): one
+    * shuffle into `nParts` partitions, which drops the duplicates.
+    */
   def prepare(spark: SparkSession, edges: DataFrame, n: Int, nParts: Int = 16): GraphHandle = {
     requirePartitions(nParts)
     val base = Csr.buildDistributed(spark, edges, n, nParts).persist(StorageLevel.MEMORY_ONLY)
@@ -46,8 +49,11 @@ object ParallelKCore {
     PeelEngine.run(handle.base, handle.n, cfg)
 
   /** DataFrame-in / DataFrame-out surface: takes a (possibly raw) edge list,
-    * canonicalizes it through Catalyst, runs the decomposition, and returns
-    * a (vertex, coreness) DataFrame.
+    * adds the reverse of every pair and drops self-loops in one narrow
+    * Catalyst scan (`GraphOps.symmetrize`), builds the CSR in one shuffle
+    * that also drops duplicate edges (`prepare`), runs the decomposition, and
+    * returns a (vertex, coreness) DataFrame. `spark.sql.shuffle.partitions`
+    * plays no part.
     */
   def runDF(spark: SparkSession, rawEdges: DataFrame, n: Int, cfg: KCoreConfig): (DataFrame, RunMetrics) = {
     val edges = GraphOps.symmetrize(rawEdges)

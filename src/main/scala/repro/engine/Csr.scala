@@ -39,10 +39,12 @@ object Csr {
     def getPartition(key: Any): Int = ownerOf(key.asInstanceOf[Int], n, nParts)
   }
 
-  /** Build the per-partition CSRs from a canonical symmetric edge DataFrame.
-    * Edges are shuffled to the owner of their source; each partition sorts
-    * its share and lays out the CSR. The result is cached by the caller.
-    * An edge with an id outside [0, n) fails the first job that reads it.
+  /** Build the per-partition CSRs from a symmetric edge DataFrame with no
+    * self-loops, which may hold duplicates ([[repro.graph.GraphOps.symmetrize]]
+    * gives one). This is the one shuffle: edges go to the owner of their
+    * source, in `nParts` partitions; each partition sorts its share, drops
+    * duplicates and lays out the CSR. The result is cached by the caller. An
+    * edge with an id outside [0, n) fails the first job that reads it.
     */
   def buildDistributed(spark: SparkSession, edges: DataFrame, n: Int, nParts: Int): RDD[PartitionGraph] = {
     val pairs: RDD[(Int, Int)] = edges.select("src", "dst").rdd.map { r =>
@@ -60,7 +62,7 @@ object Csr {
         java.util.Arrays.sort(arr)
         val lo = boundOf(pid, n, nParts)
         val hi = boundOf(pid + 1, n, nParts)
-        val (indptr, adj) = LocalGraph.layout(arr, arr.length, lo, hi - lo)
+        val (indptr, adj) = LocalGraph.layout(arr, LocalGraph.dedupSorted(arr), lo, hi - lo)
         Iterator.single(PartitionGraph(pid, n, lo, hi, indptr, adj))
       }, preservesPartitioning = true)
   }

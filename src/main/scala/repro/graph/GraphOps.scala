@@ -6,8 +6,9 @@ import org.apache.spark.sql.functions._
 /** DataFrame surface of the graph substrate.
   *
   * The canonical graph lives in [[LocalGraph]]; these helpers expose it to
-  * Spark SQL and implement the symmetrize/dedup pipeline as Catalyst
-  * operations so they can be Oracle-checked against DuckDB.
+  * Spark SQL and implement the narrow half of canonicalization (both
+  * directions, no self-loops) as Catalyst operations, so it can be
+  * Oracle-checked against DuckDB.
   */
 object GraphOps {
 
@@ -33,21 +34,18 @@ object GraphOps {
       .toDF("src", "dst")
   }
 
-  /** Symmetrize + drop self-loops + dedup, entirely in Catalyst.
-    * Produces the same edge set as [[LocalGraph.fromPairs]].
+  /** Both directions of every raw pair, self-loops dropped, duplicates kept.
+    *
+    * One narrow scan: it keeps the input's partitions and adds no shuffle.
+    * Its distinct rows are [[LocalGraph.fromPairs]]'s edge set; the
+    * distributed CSR build ([[repro.engine.Csr.buildDistributed]]) drops the
+    * duplicates in the sort it runs anyway.
     */
-  def symmetrize(edges: DataFrame): DataFrame = {
-    val fwd = edges.select(col("src"), col("dst"))
-    val rev = edges.select(col("dst").as("src"), col("src").as("dst"))
-    fwd.union(rev).where(col("src") =!= col("dst")).distinct()
-  }
-
-  /** Per-vertex degree of a symmetric edge DataFrame. Vertices with no edges
-    * are absent (join with a vertex table if zeros are needed).
-    */
-  def degrees(edges: DataFrame): DataFrame =
-    edges.groupBy(col("src").as("vertex")).agg(count(lit(1)).cast("int").as("degree"))
-
-  /** Number of undirected edges in a symmetric edge DataFrame. */
-  def undirectedEdgeCount(edges: DataFrame): Long = edges.count() / 2
+  def symmetrize(edges: DataFrame): DataFrame =
+    edges
+      .where(col("src") =!= col("dst"))
+      .select(explode(array(
+        struct(col("src"), col("dst")),
+        struct(col("dst").as("src"), col("src").as("dst")))).as("e"))
+      .select(col("e.src").as("src"), col("e.dst").as("dst"))
 }

@@ -20,14 +20,6 @@ final case class LocalGraph(n: Int, indptr: Array[Int], adj: Array[Int]) {
   /** Degree of vertex v in the input graph. */
   def degree(v: Int): Int = indptr(v + 1) - indptr(v)
 
-  def maxDegree: Int = {
-    var mx = 0; var v = 0
-    while (v < n) { val d = degree(v); if (d > mx) mx = d; v += 1 }
-    mx
-  }
-
-  def avgDegree: Double = if (n == 0) 0.0 else adj.length.toDouble / n
-
   /** Iterate neighbors of v through `f`. */
   @inline def foreachNeighbor(v: Int)(f: Int => Unit): Unit = {
     var i = indptr(v)
@@ -61,15 +53,21 @@ object LocalGraph {
     }
     val arr = packed.result()
     java.util.Arrays.sort(arr)
-    // Dedup in place.
+    val (indptr, adj) = layout(arr, dedupSorted(arr), 0, n)
+    LocalGraph(n, indptr, adj)
+  }
+
+  /** Drops adjacent duplicates from the sorted `arr` in place; returns the
+    * length of the distinct prefix.
+    */
+  private[repro] def dedupSorted(arr: Array[Long]): Int = {
     var w = 0
-    i = 0
+    var i = 0
     while (i < arr.length) {
       if (w == 0 || arr(w - 1) != arr(i)) { arr(w) = arr(i); w += 1 }
       i += 1
     }
-    val (indptr, adj) = layout(arr, w, 0, n)
-    LocalGraph(n, indptr, adj)
+    w
   }
 
   /** The CSR `(indptr, adj)` of the first `len` entries of `packed`: edges
@@ -88,8 +86,4 @@ object LocalGraph {
     while (v < nv) { indptr(v + 1) += indptr(v); v += 1 }
     (indptr, adj)
   }
-
-  /** Convenience: build from a list of (u, v) pairs. */
-  def fromEdgeSeq(n: Int, edges: Seq[(Int, Int)]): LocalGraph =
-    fromPairs(n, edges.map(_._1).toArray, edges.map(_._2).toArray)
 }

@@ -16,10 +16,8 @@ import repro.engine.RunMetrics
   * (≈ 1 ns/op, a typical simple-op throughput on the paper's 2.1 GHz Xeons).
   */
 object CostModel {
-  /** Cilkview's burdened-span constant at the paper's scale. */
-  val OmegaCilkview = 15000L
-
-  /** Scale-adjusted ω used for the modeled tables. Our graphs are 10³–10⁶×
+  /** Scale-adjusted ω used for the modeled tables. Cilkview's burdened-span
+    * constant at the paper's scale is ω = 15000. Our graphs are 10³–10⁶×
     * smaller than the paper's, so charging the full Cilkview constant per
     * subround would let scheduling overhead drown every other effect — a
     * regime the paper's machines are NOT in (e.g. paper GRID: W ≈ 5·10⁸ vs

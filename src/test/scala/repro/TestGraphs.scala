@@ -6,6 +6,10 @@ import repro.graph.{GraphGen, LocalGraph}
 /** Small deterministic graphs shared across test suites. */
 object TestGraphs {
 
+  /** Build from a list of (u, v) pairs. */
+  def fromEdgeSeq(n: Int, edges: Seq[(Int, Int)]): LocalGraph =
+    LocalGraph.fromPairs(n, edges.map(_._1).toArray, edges.map(_._2).toArray)
+
   /** Uniform random multigraph (canonicalization dedups). */
   def random(n: Int, m: Int, seed: Long): LocalGraph = {
     val rng = new Random(seed)
@@ -18,7 +22,7 @@ object TestGraphs {
   /** The running example of the paper's Fig. 1: a small graph with
     * kmax = 3 — a 4-clique with appendages of coreness 0, 1, 2.
     */
-  def figure1: LocalGraph = LocalGraph.fromEdgeSeq(11, Seq(
+  def figure1: LocalGraph = fromEdgeSeq(11, Seq(
     // 4-clique: 0-1-2-3 (coreness 3)
     (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
     // triangle 4-5-6 attached to the clique (coreness 2)
@@ -31,16 +35,16 @@ object TestGraphs {
   val figure1Coreness: Array[Int] = Array(3, 3, 3, 3, 2, 2, 2, 1, 1, 1, 0)
 
   def clique(n: Int): LocalGraph =
-    LocalGraph.fromEdgeSeq(n, for (i <- 0 until n; j <- i + 1 until n) yield (i, j))
+    fromEdgeSeq(n, for (i <- 0 until n; j <- i + 1 until n) yield (i, j))
 
   def cycle(n: Int): LocalGraph =
-    LocalGraph.fromEdgeSeq(n, (0 until n).map(i => (i, (i + 1) % n)))
+    fromEdgeSeq(n, (0 until n).map(i => (i, (i + 1) % n)))
 
   def path(n: Int): LocalGraph =
-    LocalGraph.fromEdgeSeq(n, (0 until n - 1).map(i => (i, i + 1)))
+    fromEdgeSeq(n, (0 until n - 1).map(i => (i, i + 1)))
 
   def star(n: Int): LocalGraph =
-    LocalGraph.fromEdgeSeq(n, (1 until n).map(i => (0, i)))
+    fromEdgeSeq(n, (1 until n).map(i => (0, i)))
 
   def grid(rows: Int, cols: Int): LocalGraph = {
     val el = new GraphGen.EdgeList
@@ -83,6 +87,6 @@ object TestGraphs {
     val pathEdges = (1 to paths).flatMap(b => Seq((0, b), (b, b + paths)))
     val leafEdges = (1 + 2 * paths until half).map(l => (0, l))
     val cycleEdges = (0 until cyc).flatMap(j => Seq((half + j, half + (j + 1) % cyc), (0, half + j)))
-    LocalGraph.fromEdgeSeq(n, pathEdges ++ leafEdges ++ cycleEdges)
+    fromEdgeSeq(n, pathEdges ++ leafEdges ++ cycleEdges)
   }
 }

@@ -1,9 +1,81 @@
 package repro.engine
 
+import org.apache.spark.ShuffleDependency
+import org.apache.spark.rdd.RDD
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.GraphOps
+import repro.graph.{GraphOps, LocalGraph}
+import scala.collection.mutable.ArrayBuffer
 
 class CsrSpec extends SparkSpec {
+
+  private def sameCsr(dist: Array[PartitionGraph], local: Array[PartitionGraph]): Boolean =
+    dist.map(p => (p.pid, p.lo, p.hi, p.indptr.toSeq, p.adj.toSeq)).toSeq ==
+      local.map(p => (p.pid, p.lo, p.hi, p.indptr.toSeq, p.adj.toSeq)).toSeq
+
+  /** Raw pairs over the lower two thirds of [0, n), so the top ids are
+    * isolated, with self-loops (1 in 8), reversed copies (1 in 4) and
+    * repeats (1 in 4).
+    */
+  private val rawGen: Gen[(Int, Array[Int], Array[Int])] =
+    for (n <- Gen.oneOf(Gen.choose(1, 16), Gen.choose(17, 120)); m <- Gen.choose(0, 3 * n);
+         seed <- Gen.choose(0L, 10000L)) yield {
+      val rng = new java.util.Random(seed)
+      val span = math.max(1, 2 * n / 3)
+      val s, d = ArrayBuffer.empty[Int]
+      for (_ <- 0 until m) {
+        val u = rng.nextInt(span)
+        val v = if (rng.nextInt(8) == 0) u else rng.nextInt(span)
+        s += u; d += v
+        if (rng.nextInt(4) == 0) { s += v; d += u }
+        if (rng.nextInt(4) == 0) { s += u; d += v }
+      }
+      (n, s.toArray, d.toArray)
+    }
+
+  test("buildDistributed of symmetrize(raw) equals buildLocal of fromPairs (property)") {
+    // The raw pairs hold duplicates, both directions of an edge, self-loops
+    // and isolated vertices; some cases have fewer vertices than partitions.
+    var dups, reversed, loops, isolated, fewerVertices = 0
+    val prop = Prop.forAllNoShrink(rawGen, Gen.choose(1, 17)) { case ((n, s, d), nParts) =>
+      val pairs = s.zip(d)
+      if (pairs.length > pairs.distinct.length) dups += 1
+      if (pairs.exists { case (u, v) => u != v && pairs.contains((v, u)) }) reversed += 1
+      if (pairs.exists { case (u, v) => u == v }) loops += 1
+      val local = Csr.buildLocal(LocalGraph.fromPairs(n, s, d), nParts)
+      if (local.exists(p => (0 until p.nOwned).exists(p.degreeLocal(_) == 0))) isolated += 1
+      if (n < nParts) fewerVertices += 1
+      val raw = GraphOps.rawToDF(spark, s, d)
+      val dist = Csr.buildDistributed(spark, GraphOps.symmetrize(raw), n, nParts).collect().sortBy(_.pid)
+      sameCsr(dist, local) :| s"n $n, ${s.length} pairs, nParts $nParts"
+    }
+    val params = SCTest.Parameters.default.withMinSuccessfulTests(40).withInitialSeed(Seed(20260))
+    val res = SCTest.check(params, prop)
+    assert(res.passed, res.status.toString)
+    assert(Seq(dups, reversed, loops, isolated, fewerVertices).forall(_ > 0),
+      s"dups $dups, reversed $reversed, self-loops $loops, isolated $isolated, n < nParts $fewerVertices")
+  }
+
+  /** The shuffles in `rdd`'s lineage. */
+  private def shuffles(rdd: RDD[_]): Seq[ShuffleDependency[_, _, _]] = rdd.dependencies.flatMap {
+    case s: ShuffleDependency[_, _, _] => s +: shuffles(s.rdd)
+    case dep => shuffles(dep.rdd)
+  }
+
+  test("buildDistributed of symmetrize(raw) shuffles once, from raw's partitions into nParts") {
+    val rng = new java.util.Random(4)
+    val n = 300
+    val raw = GraphOps.rawToDF(spark, Array.fill(1500)(rng.nextInt(n)), Array.fill(1500)(rng.nextInt(n)))
+    for (nParts <- Seq(3, 16)) {
+      val base = Csr.buildDistributed(spark, GraphOps.symmetrize(raw), n, nParts)
+      val sh = shuffles(base)
+      assert(sh.length == 1, sh)
+      assert(sh.head.rdd.getNumPartitions == raw.rdd.getNumPartitions)
+      assert(base.getNumPartitions == nParts)
+    }
+  }
 
   test("ownerOf is the inverse of boundOf ranges") {
     for (n <- Seq(1, 7, 16, 100, 1001); p <- Seq(1, 3, 4, 16)) {

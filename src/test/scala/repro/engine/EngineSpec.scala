@@ -15,7 +15,7 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import repro.{SparkSpec, TestGraphs}
 import repro.core._
-import repro.graph.{GraphSuite, LocalGraph}
+import repro.graph.{GraphGen, GraphSuite, LocalGraph}
 import repro.sampling.SamplingParams
 import repro.seq.SeqKCore
 import scala.jdk.CollectionConverters._
@@ -221,7 +221,7 @@ class EngineSpec extends SparkSpec {
   }
 
   test("isolated vertices get coreness 0") {
-    val g = LocalGraph.fromEdgeSeq(10, Seq((0, 1), (2, 3)))
+    val g = TestGraphs.fromEdgeSeq(10, Seq((0, 1), (2, 3)))
     checkSpark(g, KCoreConfig.ours)
   }
 
@@ -497,6 +497,8 @@ class EngineSpec extends SparkSpec {
     */
   private final class RoundEndCheck(inner: LocalExchange) extends Exchange {
     var ended, busy = 0
+    /** Steps that left a recount pending, and the largest k stepped. */
+    var recounts, maxK = 0
     var broken = List.empty[String]
     private def charged(at: String, outs: Array[SubroundOut]): Array[SubroundOut] = {
       for (o <- outs if o.counters.work < 0 || o.counters.structOps < 0)
@@ -511,6 +513,8 @@ class EngineSpec extends SparkSpec {
         outs.forall(o => o.decs.isEmpty && o.hits.isEmpty)
       if (voted != idle) broken ::= s"subround ${in.subroundIndex} (k = ${in.k}): least key ≥ 0 is $voted, idle is $idle"
       if (idle) ended += 1 else busy += 1
+      if (inner.states.exists(_.pendingRecount.nonEmpty)) recounts += 1
+      maxK = math.max(maxK, in.k)
       outs
     }
     def gather(steps: Int): Array[Int] = inner.gather(steps)
@@ -518,11 +522,11 @@ class EngineSpec extends SparkSpec {
   }
 
   /** `PeelEngine.run` in-thread, every attempt's exchange wrapped in a [[RoundEndCheck]]. */
-  private def runChecked(g: LocalGraph, nParts: Int, cfg: KCoreConfig): (Array[Int], Seq[RoundEndCheck]) = {
+  private def runChecked(g: LocalGraph, nParts: Int, cfg: KCoreConfig): (Array[Int], RunMetrics, Seq[RoundEndCheck]) = {
     val parts = Csr.buildLocal(g, nParts)
     val checks = scala.collection.mutable.ArrayBuffer.empty[RoundEndCheck]
-    val (core, _) = PeelEngine.run(g.n, cfg, c => { checks += new RoundEndCheck(new LocalExchange(parts, c)); checks.last })
-    (core, checks.toSeq)
+    val (core, m) = PeelEngine.run(g.n, cfg, c => { checks += new RoundEndCheck(new LocalExchange(parts, c)); checks.last })
+    (core, m, checks.toSeq)
   }
 
   test("a round ends exactly when every partition is idle (property)") {
@@ -530,7 +534,7 @@ class EngineSpec extends SparkSpec {
     var ended, busy = 0
     val prop = Prop.forAllNoShrink(graphGen, Gen.choose(1, 17), Gen.oneOf(presets ++ sampled)) {
       case ((gname, g), nParts, cfg) =>
-        val (core, checks) = runChecked(g, nParts, cfg)
+        val (core, _, checks) = runChecked(g, nParts, cfg)
         ended += checks.map(_.ended).sum
         busy += checks.map(_.busy).sum
         val broken = checks.flatMap(_.broken)
@@ -546,11 +550,57 @@ class EngineSpec extends SparkSpec {
   test("no output charges negative work or structOps when HBS takes over at θ") {
     // The generated graphs above stay below the θ-core; several of these reach it.
     for ((gname, g) <- graphs; cfg <- KCoreConfig.ours +: KCoreConfig.combos if cfg.buckets == Hierarchical) {
-      val (core, checks) = runChecked(g, 4, cfg)
+      val (core, _, checks) = runChecked(g, 4, cfg)
       val broken = checks.flatMap(_.broken)
       assert(broken.isEmpty, s"${cfg.name} on $gname: ${broken.reverse.mkString("; ")}")
       assert(core.toSeq == SeqKCore.bz(g).toSeq, s"${cfg.name} on $gname")
     }
+  }
+
+  /** A dense block ER(c, p) planted in a random or hub background, ids
+    * permuted so that the block spans partitions: its core is often above θ.
+    */
+  private val denseCoreGen: Gen[(String, LocalGraph)] =
+    for (n <- Gen.choose(300, 800); hubBackground <- Gen.oneOf(false, true); c <- Gen.choose(20, 80);
+         p <- Gen.choose(0.5, 0.95); seed <- Gen.choose(0L, 10000L)) yield {
+      val rng = new java.util.Random(seed)
+      val el = new GraphGen.EdgeList
+      if (hubBackground) {
+        GraphGen.ba(el, n, 4, seed)
+        GraphGen.hubs(el, n, 1 + rng.nextInt(3), 0.2 + 0.3 * rng.nextDouble(), seed + 1)
+      } else (0 until (1 + rng.nextInt(4)) * n).foreach(_ => el.add(rng.nextInt(n), rng.nextInt(n)))
+      GraphGen.erBlock(el, c, p, seed + 2, rng.nextInt(n - c + 1))
+      val perm = Array.range(0, n)
+      for (i <- n - 1 to 1 by -1) {
+        val j = rng.nextInt(i + 1)
+        val t = perm(i); perm(i) = perm(j); perm(j) = t
+      }
+      (f"dense($n, ${if (hubBackground) "hubs" else "random"}, c $c, p $p%.2f, $seed)",
+        LocalGraph.fromPairs(n, el.srcs.map(perm), el.dsts.map(perm)))
+    }
+
+  test("engine == BZ on generated graphs with a dense core: HBS above θ, recounts and restarts (property)") {
+    val hbs = KCoreConfig.combos.filter(_.buckets == Hierarchical)
+    // μ = 8: validation lets sampled hubs miss peels, which the restart mends.
+    val tinyMu = KCoreConfig.ours.copy(name = "Ours, tiny mu", sampling = Some(SamplingParams(threshold = 16, c = -1.95)))
+    val cfgGen = Gen.frequency(2 -> Gen.oneOf(presets ++ hbs ++ sampled), 1 -> Gen.const(tinyMu))
+    var aboveTheta, sampledCases, recountCases, restartCases = 0
+    val prop = Prop.forAllNoShrink(denseCoreGen, Gen.choose(1, 17), cfgGen) {
+      case ((gname, g), nParts, cfg) =>
+        val (core, m, checks) = runChecked(g, nParts, cfg)
+        if (cfg.buckets == Hierarchical && checks.exists(_.maxK >= KCoreConfig.Theta)) aboveTheta += 1
+        if (m.maxSampled > 0) sampledCases += 1
+        if (checks.exists(_.recounts > 0)) recountCases += 1
+        if (m.restarts > 0) restartCases += 1
+        val broken = checks.flatMap(_.broken)
+        (broken.isEmpty :| broken.reverse.mkString("; ") &&
+          (core.toSeq == SeqKCore.bz(g).toSeq) :| "coreness == BZ") :| s"${cfg.name} on $gname, nParts $nParts"
+    }
+    val params = SCTest.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(20260))
+    val res = SCTest.check(params, prop)
+    assert(res.passed, res.status.toString)
+    assert(Seq(aboveTheta, sampledCases, recountCases, restartCases).forall(_ > 0),
+      s"HBS at k >= θ $aboveTheta, sampled $sampledCases, recounts $recountCases, restarts $restartCases")
   }
 
   test("Spark exchange == LocalExchange with several partitions per task (property)") {

@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.seq.SeqKCore
 
 class GraphGenSpec extends AnyFunSuite {
@@ -12,26 +13,30 @@ class GraphGenSpec extends AnyFunSuite {
     LocalGraph.fromPairs(n, el.srcs, el.dsts)
   }
 
+  private def maxDegree(g: LocalGraph): Int = (0 until g.n).map(g.degree).max
+
+  private def avgDegree(g: LocalGraph): Double = g.adj.length.toDouble / g.n
+
   // ---- canonicalization ----------------------------------------------------
 
   test("fromPairs symmetrizes") {
-    val g = LocalGraph.fromEdgeSeq(3, Seq((0, 1), (1, 2)))
+    val g = TestGraphs.fromEdgeSeq(3, Seq((0, 1), (1, 2)))
     assert(g.adj.length == 4)
     assert(g.degree(1) == 2)
   }
 
   test("fromPairs dedups duplicate and reversed edges") {
-    val g = LocalGraph.fromEdgeSeq(2, Seq((0, 1), (1, 0), (0, 1)))
+    val g = TestGraphs.fromEdgeSeq(2, Seq((0, 1), (1, 0), (0, 1)))
     assert(g.m == 1)
   }
 
   test("fromPairs drops self-loops") {
-    val g = LocalGraph.fromEdgeSeq(2, Seq((0, 0), (1, 1), (0, 1)))
+    val g = TestGraphs.fromEdgeSeq(2, Seq((0, 0), (1, 1), (0, 1)))
     assert(g.m == 1)
   }
 
   test("fromPairs rejects out-of-range vertices") {
-    intercept[IllegalArgumentException](LocalGraph.fromEdgeSeq(2, Seq((0, 5))))
+    intercept[IllegalArgumentException](TestGraphs.fromEdgeSeq(2, Seq((0, 5))))
   }
 
   test("adjacency is sorted per vertex") {
@@ -57,7 +62,7 @@ class GraphGenSpec extends AnyFunSuite {
 
   test("BA graph has degree skew") {
     val g = gen(ba(_, 2000, 4, 3), 2000)
-    assert(g.maxDegree > 10 * g.avgDegree)
+    assert(maxDegree(g) > 10 * avgDegree(g))
   }
 
   test("BA graph edge count ≈ n*m0") {
@@ -83,7 +88,7 @@ class GraphGenSpec extends AnyFunSuite {
     ba(el, 3000, 4, 7)
     hubs(el, 3000, 3, 0.2, 8)
     val g = LocalGraph.fromPairs(3000, el.srcs, el.dsts)
-    assert(g.maxDegree > 400)
+    assert(maxDegree(g) > 400)
   }
 
   // ---- grids ---------------------------------------------------------------

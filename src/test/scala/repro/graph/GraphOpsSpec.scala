@@ -1,7 +1,9 @@
 package repro.graph
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.engine.Csr
 
 /** DataFrame surface of the graph substrate, Oracle-checked against DuckDB. */
 class GraphOpsSpec extends SparkSpec {
@@ -9,12 +11,18 @@ class GraphOpsSpec extends SparkSpec {
   private lazy val g = TestGraphs.random(200, 900, 5)
   private lazy val gdf = GraphOps.toDF(spark, g).cache()
 
+  /** Per-vertex degree of a symmetric edge DataFrame. Vertices with no edges
+    * are absent.
+    */
+  private def degrees(edges: DataFrame): DataFrame =
+    edges.groupBy(col("src").as("vertex")).agg(count(lit(1)).cast("int").as("degree"))
+
   test("toDF row count is 2m") {
     assert(gdf.count() == g.adj.length.toLong)
   }
 
   test("degrees match LocalGraph degrees") {
-    val d = GraphOps.degrees(gdf).collect().map(r => r.getInt(0) -> r.getInt(1)).toMap
+    val d = degrees(gdf).collect().map(r => r.getInt(0) -> r.getInt(1)).toMap
     (0 until g.n).foreach { v =>
       assert(d.getOrElse(v, 0) == g.degree(v), s"vertex $v")
     }
@@ -22,23 +30,39 @@ class GraphOpsSpec extends SparkSpec {
 
   test("degrees agree with DuckDB") {
     Oracle.assertEquivalent(
-      GraphOps.degrees(gdf).select(col("vertex"), col("degree").cast("string").as("degree")),
+      degrees(gdf).select(col("vertex"), col("degree").cast("string").as("degree")),
       "SELECT src AS vertex, CAST(COUNT(*) AS VARCHAR) AS degree FROM edges GROUP BY src",
       "edges" -> gdf)
   }
 
+  private lazy val raw = GraphOps.rawToDF(spark, Array(0, 1, 1, 2, 2, 0, 3, 0), Array(1, 0, 2, 1, 2, 3, 0, 1))
+
+  /** Both directions of every raw pair, self-loops dropped. */
+  private val bothDirections =
+    """SELECT src, dst FROM (
+      |  SELECT src, dst FROM edges UNION ALL SELECT dst AS src, src AS dst FROM edges
+      |) WHERE src <> dst""".stripMargin
+
   test("symmetrize agrees with DuckDB") {
-    val raw = GraphOps.rawToDF(spark, Array(0, 1, 1, 2, 2, 0, 3), Array(1, 0, 2, 1, 2, 3, 0))
-    Oracle.assertEquivalent(
-      GraphOps.symmetrize(raw),
-      """SELECT DISTINCT src, dst FROM (
-        |  SELECT src, dst FROM edges UNION ALL SELECT dst AS src, src AS dst FROM edges
-        |) WHERE src <> dst""".stripMargin,
+    // Duplicates are kept: the Oracle compares multisets.
+    Oracle.assertEquivalent(GraphOps.symmetrize(raw), bothDirections, "edges" -> raw)
+  }
+
+  test("the CSR built from symmetrize holds exactly its distinct edges, per DuckDB") {
+    import spark.implicits._
+    val edges = Csr.buildDistributed(spark, GraphOps.symmetrize(raw), 4, 3).collect().toSeq.flatMap { p =>
+      (0 until p.nOwned).flatMap(i => (p.indptr(i) until p.indptr(i + 1)).map(j => (p.lo + i, p.adj(j))))
+    }
+    Oracle.assertEquivalent(edges.toDF("src", "dst"), s"SELECT DISTINCT src, dst FROM ($bothDirections)",
       "edges" -> raw)
   }
 
   test("symmetrize of a canonical graph is idempotent") {
-    assert(GraphOps.symmetrize(gdf).count() == gdf.count())
+    // Its CSR is the canonical graph's own, partition for partition.
+    val dist = Csr.buildDistributed(spark, GraphOps.symmetrize(GraphOps.toDF(spark, g)), g.n, 5).collect().sortBy(_.pid)
+    val local = Csr.buildLocal(g, 5)
+    assert(dist.map(p => (p.lo, p.hi, p.indptr.toSeq, p.adj.toSeq)).toSeq ==
+      local.map(p => (p.lo, p.hi, p.indptr.toSeq, p.adj.toSeq)).toSeq)
   }
 
   test("symmetric edge set: every edge has its reverse") {
@@ -48,13 +72,13 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("undirectedEdgeCount is m") {
-    assert(GraphOps.undirectedEdgeCount(gdf) == g.m)
+    assert(gdf.count() / 2 == g.m)
   }
 
   test("frontier extraction as SQL agrees with DuckDB") {
     // Round-0 frontier: degree-0 vertices don't appear in the edge table, so
     // test the k=minDegree frontier instead via the degree view.
-    val deg = GraphOps.degrees(gdf).cache()
+    val deg = degrees(gdf).cache()
     val k = deg.agg(min(col("degree"))).head.getInt(0)
     Oracle.assertEquivalent(
       deg.where(col("degree") === k).select(col("vertex")),
@@ -64,7 +88,7 @@ class GraphOpsSpec extends SparkSpec {
 
   test("decrement histogram agrees with DuckDB (offline-peel kernel)") {
     // Histogram of neighbors of a frontier = the HISTOGRAM step of Alg. 2.
-    val frontier = GraphOps.degrees(gdf)
+    val frontier = degrees(gdf)
       .where(col("degree") <= 4).select(col("vertex"))
     val hist = gdf.join(frontier, gdf("src") === frontier("vertex"))
       .groupBy(col("dst")).agg(count(lit(1)).cast("string").as("decrements"))

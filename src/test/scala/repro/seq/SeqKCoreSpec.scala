@@ -3,7 +3,6 @@ package repro.seq
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.TestGraphs
-import repro.graph.LocalGraph
 
 class SeqKCoreSpec extends AnyFunSuite {
 
@@ -41,11 +40,11 @@ class SeqKCoreSpec extends AnyFunSuite {
   }
 
   test("single vertex has coreness 0") {
-    assert(SeqKCore.bz(LocalGraph.fromEdgeSeq(1, Seq.empty)).toSeq == Seq(0))
+    assert(SeqKCore.bz(TestGraphs.fromEdgeSeq(1, Seq.empty)).toSeq == Seq(0))
   }
 
   test("two isolated vertices have coreness 0") {
-    assert(SeqKCore.bz(LocalGraph.fromEdgeSeq(2, Seq.empty)).toSeq == Seq(0, 0))
+    assert(SeqKCore.bz(TestGraphs.fromEdgeSeq(2, Seq.empty)).toSeq == Seq(0, 0))
   }
 
   test("grid 10x10 has kmax 2") {
@@ -139,13 +138,13 @@ class SeqKCoreSpec extends AnyFunSuite {
   }
 
   test("empty-ish graph: all coreness zero") {
-    val g = LocalGraph.fromEdgeSeq(5, Seq.empty)
+    val g = TestGraphs.fromEdgeSeq(5, Seq.empty)
     assert(SeqKCore.bz(g).forall(_ == 0))
     assert(SeqKCore.framework(g).rho >= 1)
   }
 
   test("self-loops are dropped by canonicalization") {
-    val g = LocalGraph.fromEdgeSeq(3, Seq((0, 0), (0, 1), (1, 2)))
+    val g = TestGraphs.fromEdgeSeq(3, Seq((0, 0), (0, 1), (1, 2)))
     assert(g.m == 2)
     assert(SeqKCore.bz(g).toSeq == Seq(1, 1, 1))
   }
